@@ -1,6 +1,6 @@
 //! E14 — the certificate lattice: what each rung costs to certify, and
-//! what the stratified executor buys over the budget-guarded whole-set
-//! chase.
+//! what lifting the budget guard on a certified set buys over the
+//! budget-guarded chase.
 //!
 //! Three questions are measured:
 //!
@@ -9,11 +9,11 @@
 //!   acyclic, stratified, non-terminating, unknown). Each measurement
 //!   asserts the family still certifies at its rung — a lattice
 //!   regression fails the bench instead of its numbers.
-//! - **guarded vs certified stratified chase**: the whole-set chase under
-//!   the default budget guard against the stratum-by-stratum chase with
-//!   per-stratum certificates lifting the guard. **Fixpoint identity is
-//!   asserted inside every measurement** on (insertion id, resolved
-//!   fact); the per-fact round epoch is executor bookkeeping.
+//! - **guarded vs budget-free whole-set chase** of the stratified family:
+//!   the chase under the default budget guard against the same chase with
+//!   the `Stratified` certificate lifting the guard
+//!   (`ChaseConfig::with_certificate`). **Fixpoint identity is asserted
+//!   inside every measurement.**
 //! - **the key-EGD upgrade** (the acceptance pin's bench twin, test twin
 //!   in `analyzer_scenarios`): the kv-migrated marketplace deployment
 //!   mixes declared-key EGDs with view TGDs — the shape the pre-lattice
@@ -25,9 +25,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use estocada::{Estocada, Latencies};
 use estocada_chase::testkit::dump_state;
-use estocada_chase::{
-    certify, chase, chase_stratified, ChaseConfig, Elem, Instance, TerminationCertificate,
-};
+use estocada_chase::{certify, chase, ChaseConfig, Elem, Instance, TerminationCertificate};
 use estocada_pivot::{Atom, Constraint, Egd, Symbol, Term, Tgd};
 use estocada_workloads::marketplace::{generate, MarketplaceConfig};
 use estocada_workloads::scenarios::deploy_kv_migrated;
@@ -145,14 +143,6 @@ fn best_of<F: FnMut() -> Duration>(n: usize, mut f: F) -> Duration {
     (0..n).map(|_| f()).min().unwrap()
 }
 
-/// `(insertion id, resolved fact)` — the fixpoint modulo round epochs.
-fn facts(i: &Instance) -> Vec<(u32, String)> {
-    dump_state(i)
-        .into_iter()
-        .map(|(id, f, _, _)| (id, f))
-        .collect()
-}
-
 fn bench(c: &mut Criterion) {
     const K: usize = 8;
     let families: Vec<(&str, Vec<Constraint>, &str)> = vec![
@@ -178,10 +168,16 @@ fn bench(c: &mut Criterion) {
         println!("certify[{name}]: {t:?} ({} constraints)", cs.len());
     }
 
-    // --- guarded whole-set vs certified stratified chase -------------
+    // --- guarded vs budget-free whole-set chase ----------------------
     let strat_cs = stratified_family(K);
     let strat_cert = certify(&strat_cs);
     assert_eq!(strat_cert.rung(), "stratified");
+    let strat_free_cfg = ChaseConfig::default().with_certificate(&strat_cert);
+    assert_eq!(
+        strat_free_cfg.max_rounds,
+        usize::MAX,
+        "certificate lifts budget"
+    );
     let seed = || {
         let mut inst = Instance::new();
         for i in 0..K {
@@ -194,34 +190,25 @@ fn bench(c: &mut Criterion) {
     let reference = {
         let mut inst = seed();
         chase(&mut inst, &strat_cs, &ChaseConfig::default()).expect("reference chase");
-        facts(&inst)
+        dump_state(&inst)
     };
-    let run_guarded = || {
+    let run_strat = |cfg: &ChaseConfig| {
         let mut inst = seed();
         let t0 = Instant::now();
-        chase(&mut inst, &strat_cs, &ChaseConfig::default()).expect("guarded chase");
-        let dt = t0.elapsed();
-        assert_eq!(facts(&inst), reference, "guarded fixpoint drifted");
-        dt
-    };
-    let run_stratified = || {
-        let mut inst = seed();
-        let t0 = Instant::now();
-        chase_stratified(&mut inst, &strat_cs, &ChaseConfig::default(), &strat_cert)
-            .expect("stratified chase");
+        chase(&mut inst, &strat_cs, cfg).expect("stratified-family chase");
         let dt = t0.elapsed();
         assert_eq!(
-            facts(&inst),
+            dump_state(&inst),
             reference,
-            "stratified executor must reach the identical fixpoint"
+            "budget-free run must reach the bit-identical fixpoint"
         );
         dt
     };
-    let t_guarded = best_of(5, run_guarded);
-    let t_strat = best_of(5, run_stratified);
+    let t_guarded = best_of(5, || run_strat(&ChaseConfig::default()));
+    let t_free = best_of(5, || run_strat(&strat_free_cfg));
     println!(
         "chase (stratified family, {} constraints, {}-row seeds): guarded whole-set \
-         {t_guarded:?} vs certified stratified {t_strat:?} (identical fixpoint asserted every run)",
+         {t_guarded:?} vs certified budget-free {t_free:?} (bit-identical, asserted every run)",
         strat_cs.len(),
         16
     );
@@ -313,8 +300,12 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("chase_guarded_whole_set", |b| b.iter(run_guarded));
-    group.bench_function("chase_certified_stratified", |b| b.iter(run_stratified));
+    group.bench_function("chase_guarded_whole_set", |b| {
+        b.iter(|| run_strat(&ChaseConfig::default()))
+    });
+    group.bench_function("chase_budget_free_whole_set", |b| {
+        b.iter(|| run_strat(&strat_free_cfg))
+    });
     group.bench_function("deployment_chase_guarded", |b| {
         b.iter(|| run_deploy(&guarded_cfg))
     });

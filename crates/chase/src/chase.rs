@@ -1,4 +1,31 @@
-//! The standard (restricted) chase over instances with labelled nulls.
+//! The chase round driver and the standard (restricted) chase over
+//! instances with labelled nulls.
+//!
+//! # One driver, two firing policies
+//!
+//! Both chases of the crate — the restricted chase ([`chase`]) and the
+//! provenance-aware backchase ([`crate::pchase::prov_chase`]) — run the
+//! same round loop. It owns the round/fact budgets, the semi-naive epoch
+//! bookkeeping, the trigger-search phase, the serial apply in constraint
+//! order, the EGD merges and fixpoint detection. What differs is how a
+//! trigger *fires*, and that is a statically dispatched firing policy:
+//!
+//! - **restricted** (this module): a TGD trigger fires only when its
+//!   conclusion has no image under the trigger's frontier binding
+//!   (the applicability probe, memoized — see below), inventing fresh
+//!   nulls for the existentials; every EGD trigger merges;
+//! - **provenance** ([`crate::pchase`]): a TGD trigger always propagates
+//!   the conjunction of its facts' provenance, existentials are Skolemized
+//!   per frontier image, and an EGD merges only on certain (`⊤`)
+//!   provenance.
+//!
+//! Each constraint is compiled once per run: conclusion constants are
+//! interned and every conclusion slot is resolved to a constant, a
+//! frontier position or an existential position.
+//!
+//! Both chases require well-formed constraints: every variable of an EGD's
+//! equality occurs in its premise. The DDL layer rejects EGDs that break
+//! this before they reach a chase.
 //!
 //! # Semi-naive delta evaluation
 //!
@@ -30,10 +57,10 @@
 //! 2. **Apply phase (serial).** Triggers fire in constraint order, then
 //!    trigger order. Every trigger is re-resolved through the union-find
 //!    at fire time (earlier firings in the same round may have merged
-//!    elements) and TGD applicability is re-probed against the *live*
-//!    instance, so the restricted-chase semantics are unchanged by the
-//!    split: a trigger another constraint satisfied moments earlier still
-//!    does not fire.
+//!    elements), and the firing policy reads the *live* instance — the
+//!    restricted policy re-probes applicability, the provenance policy
+//!    re-reads provenance — so a trigger another constraint satisfied
+//!    moments earlier still does not fire.
 //!
 //! Deferred same-round discoveries (a trigger whose newest fact was created
 //! by an *earlier* constraint in the same round) are picked up in the next
@@ -59,11 +86,11 @@
 //! (facts only die by deduplication against an identical survivor, and
 //! argument rewriting maps any witness image to its resolved form), so an
 //! entry can only be disturbed by an EGD merge *retiring one of its keyed
-//! elements*. The apply phase therefore drops, after each merge, exactly
-//! the entries whose key mentions the retired null
-//! ([`crate::instance::Instance::merge_retired`]) — the same occurrence-
-//! list pattern the instance uses for incremental normalization. Retired
-//! ids are never re-issued, so stale keys cannot be misread; memoization
+//! elements*. The driver therefore hands every retired null to the firing
+//! policy ([`crate::instance::Instance::merge_retired`]), which drops
+//! exactly the entries whose key mentions it — the same occurrence-list
+//! pattern the instance uses for incremental normalization. Retired ids
+//! are never re-issued, so stale keys cannot be misread; memoization
 //! changes which probes run, never what fires ([`ChaseStats::core`] is
 //! identical with the memo on or off).
 
@@ -71,10 +98,9 @@ use crate::hom::{
     find_homs_delta_anchor_in, find_one_hom_in, find_trigger_homs_in, Hom, HomArena, HomConfig,
 };
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
-use crate::wa::TerminationCertificate;
 use estocada_parexec::Pool;
 use estocada_pivot::{Atom, Constraint, Egd, Symbol, Term, Tgd, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Resource budget and knobs for a chase run.
@@ -100,8 +126,9 @@ pub struct ChaseConfig {
     /// exercised). Identical outcome either way; only latency changes.
     pub search_min_facts: usize,
     /// Memoize applicability probes across triggers and rounds (see the
-    /// module docs). Elides redundant probes only; never changes the
-    /// result instance or [`ChaseStats::core`].
+    /// module docs); in the provenance chase, index the Skolem table for
+    /// invalidation and count its hits/misses. Elides redundant work only;
+    /// never changes the result instance or [`ChaseStats::core`].
     pub memo: bool,
 }
 
@@ -155,15 +182,18 @@ impl std::error::Error for ChaseError {}
 pub struct ChaseStats {
     /// Rounds until fixpoint.
     pub rounds: usize,
-    /// TGD firings that added facts.
+    /// TGD firings that added facts: fired triggers in the restricted
+    /// chase, changed conclusion facts in the provenance chase.
     pub tgd_fires: usize,
     /// EGD firings that merged elements.
     pub egd_merges: usize,
-    /// Applicability probes skipped because the memo had already proven the
-    /// (constraint, frontier image) pair satisfied. 0 when the memo is off.
+    /// Applicability probes (Skolem lookups, in the provenance chase)
+    /// skipped because the memo had already answered them. 0 when the
+    /// memo is off.
     pub memo_hits: usize,
-    /// Applicability probes actually run under the memo. 0 when the memo
-    /// is off (probes still run; they just aren't counted against a memo).
+    /// Applicability probes actually run (Skolem nulls invented) under the
+    /// memo. 0 when the memo is off (probes still run; they just aren't
+    /// counted against a memo).
     pub memo_misses: usize,
 }
 
@@ -187,6 +217,9 @@ impl ChaseStats {
 /// given order, round-robin, until a full round changes nothing. The first
 /// round searches all triggers; later rounds search semi-naively (see
 /// module docs).
+///
+/// Every constraint must be well formed: each variable of an EGD's
+/// equality occurs in its premise (a violation panics).
 pub fn chase(
     instance: &mut Instance,
     constraints: &[Constraint],
@@ -205,8 +238,46 @@ pub fn chase_with(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
+    let mut policy = Restricted {
+        memo: cfg.memo.then(|| FrontierCache::new(true)),
+    };
+    run_rounds(arena, instance, constraints, cfg, &mut policy)
+}
+
+/// How triggers fire: the part of a chase run the shared round driver
+/// ([`run_rounds`]) leaves to the chase variant.
+pub(crate) trait Firing {
+    /// Fire the pre-searched triggers of TGD `cidx` against the live
+    /// instance; returns whether the instance changed.
+    fn fire_tgd(
+        &mut self,
+        arena: &mut HomArena,
+        instance: &mut Instance,
+        cidx: usize,
+        tgd: &CompiledTgd,
+        homs: Vec<Hom>,
+        stats: &mut ChaseStats,
+    ) -> bool;
+
+    /// Whether an EGD trigger fires, read against the live instance.
+    fn egd_fires(&self, instance: &Instance, h: &Hom) -> bool;
+
+    /// An EGD merge retired `null`: drop every cached entry keyed on it.
+    fn invalidate_null(&mut self, null: u32);
+}
+
+/// The chase round driver shared by both chase variants: budget checks,
+/// epoch advance and delta index, the read-only trigger search, the serial
+/// apply in constraint order, the EGD merges, and fixpoint detection.
+pub(crate) fn run_rounds<F: Firing>(
+    arena: &mut HomArena,
+    instance: &mut Instance,
+    constraints: &[Constraint],
+    cfg: &ChaseConfig,
+    firing: &mut F,
+) -> Result<ChaseStats, ChaseError> {
+    let compiled: Vec<Compiled> = constraints.iter().map(Compiled::new).collect();
     let mut stats = ChaseStats::default();
-    let mut memo = cfg.memo.then(ApplicabilityMemo::default);
     // One search pool for the whole run: spawned lazily on the first round
     // that actually fans out, then reused by every later round (a chase is
     // a loop of searches — paying a thread spawn/join per round is pure
@@ -238,8 +309,13 @@ pub fn chase_with(
         );
         // Phase 2: serial apply in constraint order.
         let mut changed = false;
-        for (cidx, (c, homs)) in constraints.iter().zip(triggers).enumerate() {
-            changed |= apply_constraint(arena, instance, cidx, c, homs, &mut stats, memo.as_mut())?;
+        for (cidx, (c, homs)) in compiled.iter().zip(triggers).enumerate() {
+            changed |= match c {
+                Compiled::Tgd(tgd) => firing.fire_tgd(arena, instance, cidx, tgd, homs, &mut stats),
+                Compiled::Egd(egd, equal) => {
+                    apply_egd(instance, egd, equal, &homs, firing, &mut stats)?
+                }
+            };
             if instance.len() > cfg.max_facts {
                 return Err(ChaseError::Budget {
                     rounds: stats.rounds,
@@ -254,74 +330,12 @@ pub fn chase_with(
     }
 }
 
-/// Run the chase stratum-by-stratum under a termination certificate.
-///
-/// A [`TerminationCertificate::Stratified`] verdict partitions
-/// `constraints` — which must be the exact slice the certificate was
-/// computed over, in the same order — into strata; each stratum is chased
-/// to fixpoint in turn, with the budgets lifted according to the stratum's
-/// *own* certificate ([`ChaseConfig::with_certificate`] consumes the
-/// per-stratum verdict). Later strata never write into relations earlier
-/// strata read (that is what stratification certifies), so earlier
-/// fixpoints survive and the final instance satisfies the whole set.
-///
-/// Any other verdict — including one whose stratum indices do not fit
-/// `constraints` — falls back to a single [`chase_with`] run under
-/// `cfg.with_certificate(cert)`. Stats accumulate across strata.
-pub fn chase_stratified(
-    instance: &mut Instance,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-    cert: &TerminationCertificate,
-) -> Result<ChaseStats, ChaseError> {
-    chase_stratified_with(&mut HomArena::new(), instance, constraints, cfg, cert)
-}
-
-/// [`chase_stratified`] with caller-provided homomorphism scratch, shared
-/// across every stratum's run.
-pub fn chase_stratified_with(
-    arena: &mut HomArena,
-    instance: &mut Instance,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-    cert: &TerminationCertificate,
-) -> Result<ChaseStats, ChaseError> {
-    let strata = match cert {
-        TerminationCertificate::Stratified { strata }
-            if strata
-                .iter()
-                .flat_map(|s| s.members.iter())
-                .all(|&i| i < constraints.len()) =>
-        {
-            strata
-        }
-        _ => return chase_with(arena, instance, constraints, &cfg.with_certificate(cert)),
-    };
-    let mut total = ChaseStats::default();
-    for stratum in strata {
-        let subset: Vec<Constraint> = stratum
-            .members
-            .iter()
-            .map(|&i| constraints[i].clone())
-            .collect();
-        let sub_cfg = cfg.with_certificate(&stratum.certificate);
-        let stats = chase_with(arena, instance, &subset, &sub_cfg)?;
-        total.rounds += stats.rounds;
-        total.tgd_fires += stats.tgd_fires;
-        total.egd_merges += stats.egd_merges;
-        total.memo_hits += stats.memo_hits;
-        total.memo_misses += stats.memo_misses;
-    }
-    Ok(total)
-}
-
-/// Default of [`ChaseConfig::search_min_facts`] /
-/// [`crate::pchase::ProvChaseConfig::search_min_facts`] — mirrors pacb's
+/// Default of [`ChaseConfig::search_min_facts`] — mirrors pacb's
 /// `PARALLEL_CANDIDATE_THRESHOLD` rationale at the chase-round level.
 pub const SEARCH_PARALLEL_MIN_FACTS: usize = 512;
 
 /// The premise whose homomorphisms trigger a constraint.
-pub(crate) fn constraint_premise(c: &Constraint) -> &[Atom] {
+fn constraint_premise(c: &Constraint) -> &[Atom] {
     match c {
         Constraint::Tgd(t) => &t.premise,
         Constraint::Egd(e) => &e.premise,
@@ -332,9 +346,8 @@ pub(crate) fn constraint_premise(c: &Constraint) -> &[Atom] {
 /// round searches inline (serial config, single constraint, or an instance
 /// that never reaches `search_min_facts`) creates no threads at all, while
 /// the first round that fans out spawns the pool once and every later
-/// round reuses it. Both chase loops hold one of these for the duration of
-/// a run.
-pub(crate) struct LazySearchPool {
+/// round reuses it.
+struct LazySearchPool {
     workers: usize,
     pool: Option<Pool>,
 }
@@ -344,7 +357,7 @@ impl LazySearchPool {
     /// work items one search batch can hold. Delta rounds fan out one item
     /// per (constraint, premise anchor), so the bound is the total anchor
     /// count, not the constraint count.
-    pub(crate) fn new(workers: usize, max_items: usize) -> LazySearchPool {
+    fn new(workers: usize, max_items: usize) -> LazySearchPool {
         LazySearchPool {
             workers: workers.max(1).min(max_items.max(1)),
             pool: None,
@@ -360,15 +373,15 @@ impl LazySearchPool {
 /// The most work items one trigger-search batch over `constraints` can
 /// hold: a delta round fans out one item per (constraint, premise anchor).
 /// Sizes the run's [`LazySearchPool`].
-pub(crate) fn search_item_bound(constraints: &[Constraint]) -> usize {
+fn search_item_bound(constraints: &[Constraint]) -> usize {
     constraints
         .iter()
         .map(|c| constraint_premise(c).len().max(1))
         .sum()
 }
 
-/// The read-only search phase shared by both chase loops: enumerate every
-/// constraint's triggers against the frozen instance, in constraint order.
+/// The read-only search phase: enumerate every constraint's triggers
+/// against the frozen instance, in constraint order.
 ///
 /// With `workers <= 1`, a single constraint, or an instance below
 /// `min_facts` (see [`ChaseConfig::search_min_facts`]) the searches run
@@ -381,7 +394,7 @@ pub(crate) fn search_item_bound(constraints: &[Constraint]) -> usize {
 /// at any worker count — each search is a pure function of
 /// `(instance, delta, premise)` and nothing mutates the instance while
 /// the phase runs.
-pub(crate) fn search_triggers(
+fn search_triggers(
     arena: &mut HomArena,
     instance: &Instance,
     constraints: &[Constraint],
@@ -449,245 +462,277 @@ pub(crate) fn search_triggers(
     out
 }
 
-/// Per-run memo of applicability probes already proven satisfied, keyed by
-/// `(constraint index, resolved images of the conclusion-relevant frontier
-/// variables)` — see the module docs for the soundness argument and the
-/// invalidation rule.
-#[derive(Default)]
-pub(crate) struct ApplicabilityMemo {
-    /// constraint index → set of satisfied frontier-image keys (lookups
-    /// borrow the candidate key as a slice — no allocation on a hit).
-    satisfied: HashMap<usize, HashSet<Vec<Elem>>>,
-    /// null id → keys mentioning it, mirroring the instance's `null →
-    /// fact ids` occurrence index: a merge retiring null `n` invalidates
-    /// exactly `occ[n]`.
-    occ: HashMap<u32, Vec<(usize, Vec<Elem>)>>,
+/// A per-run cache keyed by `(constraint index, resolved images of the
+/// conclusion-relevant frontier variables)`: the restricted chase's
+/// applicability memo (value `()`) and the provenance chase's Skolem table
+/// (value: the existential images).
+///
+/// With `track` on, a null-occurrence index mirrors the instance's `null →
+/// fact ids` index, so a merge retiring null `n` drops exactly the entries
+/// whose key mentions `n` — invalidation is exact, not a flush. Lookups
+/// borrow the candidate key as a slice (no allocation on a hit).
+pub(crate) struct FrontierCache<V> {
+    entries: HashMap<usize, HashMap<Vec<Elem>, V>>,
+    /// `None` when not tracking.
+    occ: Option<NullIndex>,
 }
 
-/// A cache keyed (in part) on null ids that must drop entries when an EGD
-/// merge retires a null. Implemented by the applicability memo here and by
-/// the provenance chase's Skolem table
-/// ([`crate::pchase::ProvChaseConfig::memo`]) — both mirror the instance's
-/// null-occurrence index, so invalidation is exact, not a flush.
-pub(crate) trait NullInvalidate {
-    /// Drop every cached entry whose key mentions the retired null.
-    fn invalidate_null(&mut self, retired: u32);
-}
+/// null id → `(constraint index, key)` pairs whose key mentions it.
+type NullIndex = HashMap<u32, Vec<(usize, Vec<Elem>)>>;
 
-impl NullInvalidate for ApplicabilityMemo {
-    fn invalidate_null(&mut self, retired: u32) {
-        ApplicabilityMemo::invalidate_null(self, retired);
-    }
-}
-
-impl ApplicabilityMemo {
-    /// Whether `(cidx, key)` is known satisfied.
-    fn contains(&self, cidx: usize, key: &[Elem]) -> bool {
-        self.satisfied.get(&cidx).is_some_and(|s| s.contains(key))
+impl<V> FrontierCache<V> {
+    pub(crate) fn new(track: bool) -> FrontierCache<V> {
+        FrontierCache {
+            entries: HashMap::new(),
+            occ: track.then(HashMap::new),
+        }
     }
 
-    /// Record `(cidx, key)` as satisfied and index its nulls for
-    /// invalidation.
-    fn insert(&mut self, cidx: usize, key: Vec<Elem>) {
-        for e in &key {
-            if let Elem::Null(n) = e {
-                self.occ.entry(*n).or_default().push((cidx, key.clone()));
+    pub(crate) fn get(&self, cidx: usize, key: &[Elem]) -> Option<&V> {
+        self.entries.get(&cidx).and_then(|m| m.get(key))
+    }
+
+    pub(crate) fn insert(&mut self, cidx: usize, key: Vec<Elem>, value: V) {
+        if let Some(occ) = &mut self.occ {
+            for e in &key {
+                if let Elem::Null(n) = e {
+                    occ.entry(*n).or_default().push((cidx, key.clone()));
+                }
             }
         }
-        self.satisfied.entry(cidx).or_default().insert(key);
+        self.entries.entry(cidx).or_default().insert(key, value);
     }
 
     /// Drop every entry whose key mentions the retired null (no-op when
-    /// none does — constants and surviving nulls never invalidate).
-    fn invalidate_null(&mut self, retired: u32) {
-        let Some(keys) = self.occ.remove(&retired) else {
+    /// none does, or when not tracking).
+    pub(crate) fn invalidate_null(&mut self, retired: u32) {
+        let Some(keys) = self.occ.as_mut().and_then(|occ| occ.remove(&retired)) else {
             return;
         };
         for (cidx, key) in keys {
-            if let Some(s) = self.satisfied.get_mut(&cidx) {
-                s.remove(key.as_slice());
+            if let Some(m) = self.entries.get_mut(&cidx) {
+                m.remove(key.as_slice());
             }
         }
     }
 }
 
-/// The frontier variables that occur in a TGD's conclusion, sorted — the
-/// applicability-probe result depends on exactly these bindings (and the
-/// provenance chase keys its Skolem memo on the same slots).
-pub(crate) fn conclusion_frontier(tgd: &Tgd) -> Vec<Var> {
-    let f = tgd.frontier();
-    let mut used: Vec<Var> = tgd
-        .conclusion
-        .iter()
-        .flat_map(|a| a.vars())
-        .filter(|v| f.contains(v))
-        .collect();
-    used.sort();
-    used.dedup();
-    used
-}
-
-/// A conclusion/equality term with its constant pre-interned. Firing loops
-/// evaluate many homomorphisms per round; compiling once per constraint
-/// keeps the global constant-table lookup out of the per-hom path.
+/// One conclusion argument, resolved at compile time.
 #[derive(Clone, Copy)]
-pub(crate) enum CompiledTerm {
+enum Slot {
     /// A pre-interned constant.
     Const(Elem),
-    /// A variable, looked up in the trigger assignment at fire time.
+    /// The i-th conclusion-frontier variable ([`CompiledTgd::key`]).
+    Key(usize),
+    /// The i-th existential variable.
+    Exist(usize),
+}
+
+/// A TGD compiled once per run for the apply phase.
+pub(crate) struct CompiledTgd<'a> {
+    /// The source TGD (its conclusion atoms drive the applicability probe).
+    pub(crate) tgd: &'a Tgd,
+    /// Frontier variables that occur in the conclusion, sorted: the
+    /// applicability probe depends on exactly these bindings, and both
+    /// caches key on their images.
+    pub(crate) frontier: Vec<Var>,
+    /// Number of existential variables (conclusion-only, sorted by id).
+    pub(crate) existentials: usize,
+    conclusion: Vec<(Symbol, Vec<Slot>)>,
+}
+
+impl<'a> CompiledTgd<'a> {
+    fn new(tgd: &'a Tgd) -> CompiledTgd<'a> {
+        let premise_vars = tgd.frontier();
+        let mut frontier: Vec<Var> = tgd
+            .conclusion
+            .iter()
+            .flat_map(|a| a.vars())
+            .filter(|v| premise_vars.contains(v))
+            .collect();
+        frontier.sort();
+        frontier.dedup();
+        let existentials: Vec<Var> = tgd.existentials().into_iter().collect();
+        let slot = |t: &Term| match t {
+            Term::Const(v) => Slot::Const(Elem::constant(v)),
+            Term::Var(v) => match frontier.binary_search(v) {
+                Ok(i) => Slot::Key(i),
+                Err(_) => Slot::Exist(existentials.binary_search(v).expect("existential")),
+            },
+        };
+        let conclusion = tgd
+            .conclusion
+            .iter()
+            .map(|a| (a.pred, a.args.iter().map(slot).collect()))
+            .collect();
+        CompiledTgd {
+            tgd,
+            frontier,
+            existentials: existentials.len(),
+            conclusion,
+        }
+    }
+
+    /// Resolve the trigger's frontier images under the live union-find into
+    /// `key`.
+    pub(crate) fn key(&self, instance: &Instance, h: &Hom, key: &mut Vec<Elem>) {
+        key.clear();
+        key.extend(self.frontier.iter().map(|v| instance.resolve(&h.map[v])));
+    }
+
+    /// The conclusion facts under frontier images `key` and existential
+    /// images `exist`, in conclusion order.
+    pub(crate) fn conclusion<'b>(
+        &'b self,
+        key: &'b [Elem],
+        exist: &'b [Elem],
+    ) -> impl Iterator<Item = (Symbol, Vec<Elem>)> + 'b {
+        self.conclusion.iter().map(move |(pred, slots)| {
+            let args = slots
+                .iter()
+                .map(|s| match *s {
+                    Slot::Const(e) => e,
+                    Slot::Key(i) => key[i],
+                    Slot::Exist(i) => exist[i],
+                })
+                .collect();
+            (*pred, args)
+        })
+    }
+}
+
+/// A constraint compiled once per run.
+enum Compiled<'a> {
+    Tgd(CompiledTgd<'a>),
+    /// The EGD (for error reports) and its equality's two sides.
+    Egd(&'a Egd, [EqTerm; 2]),
+}
+
+/// One side of an EGD equality: a pre-interned constant or a premise
+/// variable.
+enum EqTerm {
+    Const(Elem),
     Var(Var),
 }
 
-impl CompiledTerm {
-    pub(crate) fn compile(t: &Term) -> CompiledTerm {
-        match t {
-            Term::Const(v) => CompiledTerm::Const(Elem::constant(v)),
-            Term::Var(v) => CompiledTerm::Var(*v),
+impl<'a> Compiled<'a> {
+    fn new(c: &'a Constraint) -> Compiled<'a> {
+        match c {
+            Constraint::Tgd(t) => Compiled::Tgd(CompiledTgd::new(t)),
+            Constraint::Egd(e) => {
+                let side = |t: &Term| match t {
+                    Term::Const(v) => EqTerm::Const(Elem::constant(v)),
+                    Term::Var(v) => EqTerm::Var(*v),
+                };
+                Compiled::Egd(e, [side(&e.equal.0), side(&e.equal.1)])
+            }
         }
     }
 }
 
-/// Fire the pre-searched triggers of one constraint (the serial apply
-/// phase for a single constraint).
-fn apply_constraint(
-    arena: &mut HomArena,
-    instance: &mut Instance,
-    cidx: usize,
-    c: &Constraint,
-    homs: Vec<Hom>,
-    stats: &mut ChaseStats,
-    mut memo: Option<&mut ApplicabilityMemo>,
-) -> Result<bool, ChaseError> {
-    let mut changed = false;
-    match c {
-        Constraint::Tgd(tgd) => {
-            // Intern the conclusion constants once per constraint, not once
-            // per trigger.
-            let compiled: Vec<(Symbol, Vec<CompiledTerm>)> = tgd
-                .conclusion
-                .iter()
-                .map(|a| (a.pred, a.args.iter().map(CompiledTerm::compile).collect()))
-                .collect();
-            // Only the conclusion-relevant bindings matter from here on:
-            // the applicability probe constrains exactly the frontier
-            // variables that occur in the conclusion, and firing reads
-            // those plus the (fresh-null) existentials — premise-only
-            // variables never escape the trigger.
-            let key_vars: Vec<Var> = conclusion_frontier(tgd);
-            let existentials: Vec<Var> = tgd.existentials().into_iter().collect();
-            let mut key_buf: Vec<Elem> = Vec::with_capacity(key_vars.len());
-            for h in homs {
-                // Re-resolve the trigger under the live union-find
-                // (earlier firings this round may have merged elements).
-                key_buf.clear();
-                key_buf.extend(key_vars.iter().map(|v| instance.resolve(&h.map[v])));
-                if let Some(m) = memo.as_deref_mut() {
-                    // A hit skips the probe *and* the per-trigger
-                    // assignment build — the whole remaining cost.
-                    if m.contains(cidx, &key_buf) {
-                        stats.memo_hits += 1;
-                        continue;
-                    }
-                    stats.memo_misses += 1;
-                }
-                let fixed: HashMap<Var, Elem> = key_vars
-                    .iter()
-                    .copied()
-                    .zip(key_buf.iter().copied())
-                    .collect();
-                if find_one_hom_in(arena, instance, &tgd.conclusion, &fixed).is_some() {
-                    if let Some(m) = memo.as_deref_mut() {
-                        m.insert(cidx, key_buf.clone());
-                    }
+/// The restricted chase's firing policy: applicability probe (memoized),
+/// fresh nulls, every EGD trigger merges.
+struct Restricted {
+    memo: Option<FrontierCache<()>>,
+}
+
+impl Firing for Restricted {
+    fn fire_tgd(
+        &mut self,
+        arena: &mut HomArena,
+        instance: &mut Instance,
+        cidx: usize,
+        tgd: &CompiledTgd,
+        homs: Vec<Hom>,
+        stats: &mut ChaseStats,
+    ) -> bool {
+        let mut changed = false;
+        let mut key: Vec<Elem> = Vec::with_capacity(tgd.frontier.len());
+        for h in homs {
+            // Re-resolve the trigger under the live union-find (earlier
+            // firings this round may have merged elements). Only the
+            // conclusion-relevant bindings matter from here on.
+            tgd.key(instance, &h, &mut key);
+            if let Some(m) = &self.memo {
+                // A hit skips the probe — the whole remaining cost.
+                if m.get(cidx, &key).is_some() {
+                    stats.memo_hits += 1;
                     continue;
                 }
+                stats.memo_misses += 1;
+            }
+            let fixed: HashMap<Var, Elem> = tgd
+                .frontier
+                .iter()
+                .copied()
+                .zip(key.iter().copied())
+                .collect();
+            let satisfied = find_one_hom_in(arena, instance, &tgd.tgd.conclusion, &fixed).is_some();
+            if !satisfied {
                 // Fire: fresh nulls for existential variables.
-                let mut assignment = fixed;
-                for v in &existentials {
-                    let n = instance.fresh_null();
-                    assignment.insert(*v, n);
-                }
-                for (pred, slots) in &compiled {
-                    let args: Vec<Elem> = slots
-                        .iter()
-                        .map(|s| match s {
-                            CompiledTerm::Const(e) => *e,
-                            CompiledTerm::Var(v) => assignment
-                                .get(v)
-                                .copied()
-                                .expect("conclusion variable neither frontier nor existential"),
-                        })
-                        .collect();
-                    let (_, new) = instance.insert(*pred, args);
-                    changed |= new;
-                }
-                // The firing itself satisfies the conclusion under this
-                // frontier image: memoize it so later triggers sharing the
-                // key skip their probe entirely.
-                if let Some(m) = memo.as_deref_mut() {
-                    m.insert(cidx, key_buf.clone());
+                let exist: Vec<Elem> = (0..tgd.existentials)
+                    .map(|_| instance.fresh_null())
+                    .collect();
+                for (pred, args) in tgd.conclusion(&key, &exist) {
+                    changed |= instance.insert(pred, args).1;
                 }
                 stats.tgd_fires += 1;
             }
+            // A successful probe or the firing itself satisfies the
+            // conclusion under this frontier image: memoize it so later
+            // triggers sharing the key skip their probe entirely.
+            if let Some(m) = &mut self.memo {
+                m.insert(cidx, key.clone(), ());
+            }
         }
-        Constraint::Egd(egd) => {
-            apply_egd_homs(
-                instance,
-                egd,
-                &homs,
-                |_, _| true,
-                stats,
-                &mut changed,
-                memo.map(|m| m as &mut dyn NullInvalidate),
-            )?;
+        changed
+    }
+
+    fn egd_fires(&self, _: &Instance, _: &Hom) -> bool {
+        true
+    }
+
+    fn invalidate_null(&mut self, null: u32) {
+        if let Some(m) = &mut self.memo {
+            m.invalidate_null(null);
         }
     }
-    Ok(changed)
 }
 
-/// The EGD apply loop shared verbatim by both chase loops: resolve each
-/// trigger's equality under the live union-find, merge, and render any
-/// constant clash with the firing EGD's name and trigger facts (the
-/// `with_trigger` form). `fire` gates each trigger against the live
-/// instance — the provenance chase passes its certain-provenance filter,
-/// the plain chase fires everything. A merge that retires a null
-/// invalidates the applicability memo's entries keyed on it.
-pub(crate) fn apply_egd_homs(
+/// Fire the pre-searched triggers of one EGD: resolve each gated trigger's
+/// equality under the live union-find, merge, hand any retired null to
+/// the firing policy, and render a constant clash with the EGD's name and
+/// trigger facts (the `with_trigger` form).
+fn apply_egd<F: Firing>(
     instance: &mut Instance,
     egd: &Egd,
+    equal: &[EqTerm; 2],
     homs: &[Hom],
-    fire: impl Fn(&Instance, &Hom) -> bool,
+    firing: &mut F,
     stats: &mut ChaseStats,
-    changed: &mut bool,
-    mut memo: Option<&mut dyn NullInvalidate>,
-) -> Result<(), ChaseError> {
-    let equal = (
-        CompiledTerm::compile(&egd.equal.0),
-        CompiledTerm::compile(&egd.equal.1),
-    );
+) -> Result<bool, ChaseError> {
+    let mut changed = false;
     for h in homs {
-        if !fire(instance, h) {
+        if !firing.egd_fires(instance, h) {
             continue;
         }
-        let resolve_term = |ct: &CompiledTerm, inst: &Instance| -> Elem {
-            match ct {
-                CompiledTerm::Const(e) => *e,
-                CompiledTerm::Var(v) => inst.resolve(
+        let side = |t: &EqTerm, inst: &Instance| -> Elem {
+            match t {
+                EqTerm::Const(e) => *e,
+                EqTerm::Var(v) => inst.resolve(
                     h.map
                         .get(v)
                         .expect("EGD equality variable must occur in premise"),
                 ),
             }
         };
-        let a = resolve_term(&equal.0, instance);
-        let b = resolve_term(&equal.1, instance);
+        let a = side(&equal[0], instance);
+        let b = side(&equal[1], instance);
         match instance.merge_retired(&a, &b) {
             Ok(Some(retired)) => {
-                if let Some(m) = memo.as_deref_mut() {
-                    m.invalidate_null(retired);
-                }
+                firing.invalidate_null(retired);
                 stats.egd_merges += 1;
-                *changed = true;
+                changed = true;
             }
             Ok(None) => {}
             Err(e) => {
@@ -702,7 +747,7 @@ pub(crate) fn apply_egd_homs(
             }
         }
     }
-    Ok(())
+    Ok(changed)
 }
 
 #[cfg(test)]
@@ -1070,124 +1115,5 @@ mod tests {
         // FD merges n with 9 (and the TGD's fresh null too); S(9) derived.
         assert_eq!(i.resolve(&n), c(9));
         assert_eq!(i.facts_of(sym("S")).count(), 1);
-    }
-
-    /// t: A(x) → ∃y B(x,y); e: B(x,y) ∧ A(x) → y = x — certifies
-    /// `Stratified` ([t] before [e]), and the chase pins every invented
-    /// null to its row key.
-    fn stratified_set() -> Vec<Constraint> {
-        let t = Tgd::new(
-            "t",
-            vec![Atom::new("A", vec![Term::var(0)])],
-            vec![Atom::new("B", vec![Term::var(0), Term::var(1)])],
-        );
-        let e = Egd::new(
-            "e",
-            vec![
-                Atom::new("B", vec![Term::var(0), Term::var(1)]),
-                Atom::new("A", vec![Term::var(0)]),
-            ],
-            (Term::var(1), Term::var(0)),
-        );
-        vec![t.into(), e.into()]
-    }
-
-    #[test]
-    fn stratified_chase_reaches_the_plain_fixpoint() {
-        let constraints = stratified_set();
-        let cert = crate::wa::certify(&constraints);
-        assert!(matches!(cert, TerminationCertificate::Stratified { .. }));
-        let seed = || {
-            let mut i = Instance::new();
-            i.insert(sym("A"), vec![c(1)]);
-            i.insert(sym("A"), vec![c(2)]);
-            i
-        };
-        let mut plain = seed();
-        chase(&mut plain, &constraints, &ChaseConfig::default()).unwrap();
-        let mut strat = seed();
-        let stats =
-            chase_stratified(&mut strat, &constraints, &ChaseConfig::default(), &cert).unwrap();
-        assert!(stats.tgd_fires >= 2);
-        assert!(stats.egd_merges >= 2);
-        // Same facts; epochs are excluded because the stratified run's
-        // round structure differs from the interleaved run by construction.
-        let facts = |i: &Instance| {
-            let mut v: Vec<(u32, String)> =
-                dump(i).into_iter().map(|(id, f, _, _)| (id, f)).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(facts(&plain), facts(&strat));
-        // Both runs satisfy the EGD: every B row collapsed onto its key.
-        for want in ["B(1, 1)", "B(2, 2)"] {
-            assert!(
-                facts(&strat).iter().any(|(_, f)| f == want),
-                "missing {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn stratified_chase_budget_free_matches_per_stratum_guarded() {
-        // The certificate lifts each stratum's budget; the guarded twin
-        // chases the same strata under the default budgets. Identical
-        // executor, identical round structure — the dumps must match
-        // bit-for-bit, epochs included.
-        let constraints = stratified_set();
-        let cert = crate::wa::certify(&constraints);
-        let TerminationCertificate::Stratified { strata } = &cert else {
-            panic!("expected stratified certificate");
-        };
-        let seed = || {
-            let mut i = Instance::new();
-            i.insert(sym("A"), vec![c(7)]);
-            i
-        };
-        let mut certified = seed();
-        chase_stratified(&mut certified, &constraints, &ChaseConfig::default(), &cert).unwrap();
-        let mut guarded = seed();
-        for s in strata {
-            let subset: Vec<Constraint> =
-                s.members.iter().map(|&i| constraints[i].clone()).collect();
-            chase(&mut guarded, &subset, &ChaseConfig::default()).unwrap();
-        }
-        assert_eq!(dump(&certified), dump(&guarded));
-    }
-
-    #[test]
-    fn stratified_chase_falls_back_on_other_certificates() {
-        // A weakly-acyclic certificate has no strata: the stratified entry
-        // point must behave exactly like the certified plain chase.
-        let t = Tgd::new(
-            "copy",
-            vec![Atom::new("A", vec![Term::var(0)])],
-            vec![Atom::new("B", vec![Term::var(0)])],
-        );
-        let constraints: Vec<Constraint> = vec![t.into()];
-        let cert = crate::wa::certify(&constraints);
-        assert!(cert.guarantees_termination());
-        let seed = || {
-            let mut i = Instance::new();
-            i.insert(sym("A"), vec![c(3)]);
-            i
-        };
-        let mut via_stratified = seed();
-        let s1 = chase_stratified(
-            &mut via_stratified,
-            &constraints,
-            &ChaseConfig::default(),
-            &cert,
-        )
-        .unwrap();
-        let mut via_plain = seed();
-        let s2 = chase(
-            &mut via_plain,
-            &constraints,
-            &ChaseConfig::default().with_certificate(&cert),
-        )
-        .unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(dump(&via_stratified), dump(&via_plain));
     }
 }

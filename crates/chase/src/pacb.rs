@@ -9,7 +9,9 @@
 //!    up forms the **universal plan** `U`.
 //! 2. **Backchase** `U` once: freeze it, give each view atom a provenance
 //!    variable, and run the provenance-aware chase with the *backward*
-//!    inclusions (`Vi(x̄) → body(Vi)`) and `Σ`. Every head-preserving image
+//!    inclusions (`Vi(x̄) → body(Vi)`) and `Σ` — the same chase round
+//!    driver as step 1, under the provenance firing policy (see
+//!    [`mod@crate::chase`]). Every head-preserving image
 //!    of `Q` in the result contributes the conjunction of its facts'
 //!    provenance; the accumulated minimized DNF's clauses are exactly the
 //!    **minimal sub-queries of `U` that derive `Q`** — the candidate
@@ -57,11 +59,11 @@
 //! skip the pool entirely: spawning threads there costs more than the
 //! checks themselves, and the outcome is the same either way.
 //!
-//! Orthogonally, the *inner* chase loops (the forward chase and the
+//! Orthogonally, the *inner* chases (the forward chase and the
 //! provenance backchase, both on the coordinator) parallelize their
-//! per-round trigger-search phase through
-//! [`ChaseConfig::search_workers`] / [`ProvChaseConfig::search_workers`]
-//! (see the phase-split contract in [`mod@crate::chase`]); inside the
+//! per-round trigger-search phase through [`ChaseConfig::search_workers`]
+//! (set for the backchase in [`ProvChaseConfig::chase`]; see the
+//! phase-split contract in [`mod@crate::chase`]); inside the
 //! candidate-verification workers the search phase is forced serial —
 //! the candidate fan-out already owns the cores. Neither knob affects the
 //! outcome.
@@ -171,7 +173,7 @@ impl RewriteConfig {
     }
 
     /// This config with `workers` trigger-search workers in both inner
-    /// chase loops (the forward chase and the provenance backchase — see
+    /// chases (the forward chase and the provenance backchase — see
     /// the phase-split contract in [`mod@crate::chase`]). Any value yields the
     /// identical [`RewriteOutcome`].
     pub fn with_chase_parallelism(self, workers: usize) -> RewriteConfig {
@@ -181,7 +183,10 @@ impl RewriteConfig {
                 ..self.chase
             },
             prov: ProvChaseConfig {
-                search_workers: workers,
+                chase: ChaseConfig {
+                    search_workers: workers,
+                    ..self.prov.chase
+                },
                 ..self.prov
             },
             ..self

@@ -39,9 +39,8 @@
 //!   `c₁` can touch a relation `c₂` reads; an EGD's footprint is the set
 //!   of relations where a null it can actually merge may occur, computed
 //!   from the same null-flow analysis). Each stratum certifies on its own
-//!   via a non-stratified rung, later strata can never re-enable earlier
-//!   ones, so both the stratum-by-stratum chase and the interleaved plain
-//!   chase terminate.
+//!   via a non-stratified rung and later strata can never re-enable
+//!   earlier ones, so the whole-set chase terminates.
 //! - [`TerminationCertificate::NonTerminating`] carries a concrete witness
 //!   cycle through a special edge — a value can flow around the cycle and
 //!   force a fresh null at each lap, so the restricted chase can run
@@ -98,9 +97,7 @@ pub struct PositionGraph {
 /// fixpoints survive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stratum {
-    /// Indices into the certified constraint slice, ascending. Stratified
-    /// execution must receive the constraints in the same order they were
-    /// certified in.
+    /// Indices into the certified constraint slice, ascending.
     pub members: Vec<usize>,
     /// Constraint names, parallel to `members` (for diagnostics).
     pub names: Vec<Symbol>,
@@ -850,10 +847,8 @@ pub fn stratify(constraints: &[Constraint]) -> Vec<Vec<usize>> {
         members[cid].push(i);
     }
     // Kahn topological sort of the condensation, breaking ties by the
-    // smallest constraint index in each component: independent strata run
-    // in certified-constraint order, so the stratified chase reproduces
-    // the whole-set chase's insertion order (pinned bit-identical by the
-    // differential suite), not merely its fact set.
+    // smallest constraint index in each component: independent strata are
+    // listed in certified-constraint order.
     let mut indegree = vec![0usize; comp_count];
     let mut cadj: Vec<HashSet<usize>> = vec![HashSet::new(); comp_count];
     for (i, out) in adj.iter().enumerate() {

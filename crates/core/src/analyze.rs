@@ -9,7 +9,7 @@
 //! |------|------|----------|---------|
 //! | `E001` | `NonTerminatingTgdCycle` | error | the combined constraint set (schema constraints + fragment view constraints) has a special-edge cycle in its position graph; the chase can run forever ([`estocada_chase::certify`] supplies the witness cycle) |
 //! | `E002` | `DanglingSymbol` | error | a view or query body references a relation declared by no registered dataset |
-//! | `E003` | `UnboundHeadVariable` | error | a view or query head variable does not occur in its body (unsafe CQ) |
+//! | `E003` | `UnboundHeadVariable` | error | a view or query head variable does not occur in its body (unsafe CQ), or an EGD equality variable does not occur in its premise (checked by [`crate::Estocada::add_constraint`] in every validation mode) |
 //! | `E004` | `ArityMismatch` | error | a body atom's arity differs from the relation's declaration |
 //! | `E005` | `UnsatisfiableConstraintBody` | error | a constraint's premise is certainly unsatisfiable — chasing its frozen body under the schema constraints derives a contradiction, so the constraint can never fire on a consistent instance ([`estocada_chase::premise_unsatisfiable`]) |
 //! | `W001` | `SubsumedFragment` | warning | a fragment's defining CQ is equivalent (under the schema constraints) to an earlier fragment — same-store pairs are pure redundancy; cross-store pairs are consolidation candidates fed to the advisor |
@@ -23,9 +23,10 @@
 //! ([`estocada_chase::certify`]): `WeaklyAcyclic` (EGD merges modelled as
 //! position contractions, so key constraints don't degrade the verdict),
 //! `SuperWeaklyAcyclic` (null-flow refinement discharging plain-WA cycles
-//! no null can actually traverse), `Stratified` (per-stratum certificates
-//! consumed stratum-by-stratum by [`estocada_chase::chase_stratified`]),
-//! `NonTerminating` (E001 with a witness cycle) and `Unknown` (W006 with
+//! no null can actually traverse), `Stratified` (every stratum of
+//! [`estocada_chase::stratify`] certifies alone, so the whole-set chase
+//! terminates and [`estocada_chase::ChaseConfig::with_certificate`] lifts
+//! its budget), `NonTerminating` (E001 with a witness cycle) and `Unknown` (W006 with
 //! a structured blame pair).
 //!
 //! Severity is a function of the code; error-severity findings reject DDL
@@ -44,8 +45,8 @@ use crate::catalog::{Catalog, FragmentSpec};
 use estocada_chase::{
     certify, equivalent, implies, premise_unsatisfiable, ChaseConfig, TerminationCertificate,
 };
-use estocada_pivot::{Constraint, Cq, Schema, Symbol, Term, ViewDef};
-use std::collections::HashMap;
+use estocada_pivot::{Constraint, Cq, Schema, Symbol, Term, Var, ViewDef};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// How serious a finding is. Errors reject DDL under
@@ -76,7 +77,8 @@ pub enum Code {
     NonTerminatingTgdCycle,
     /// `E002`: a body atom references an undeclared relation.
     DanglingSymbol,
-    /// `E003`: a head variable does not occur in the body.
+    /// `E003`: a head variable does not occur in the body, or an EGD
+    /// equality variable does not occur in the premise.
     UnboundHeadVariable,
     /// `E004`: a body atom's arity contradicts the relation declaration.
     ArityMismatch,
@@ -455,8 +457,8 @@ fn unsatisfiable_body_pass(schema: &Schema, cfg: &ChaseConfig, out: &mut Vec<Dia
 /// reads relations maintained (written by TGD conclusions) in *different*
 /// strata. The fragment's contents are only meaningful once the last
 /// involved stratum reaches fixpoint — worth knowing when reasoning about
-/// intermediate states of a stratum-by-stratum chase
-/// ([`estocada_chase::chase_stratified`]).
+/// intermediate states of a chase run in stratum order
+/// ([`estocada_chase::stratify`]).
 fn stratum_span_pass(
     cert: &TerminationCertificate,
     constraints: &[Constraint],
@@ -601,6 +603,33 @@ pub fn analyze_fragment_spec(
     termination_pass(&cert, &mut out);
     finish(&mut out);
     out
+}
+
+/// Well-formedness of one constraint the chase relies on: every variable
+/// of an EGD's equality occurs in its premise (`E003` per offending
+/// variable). TGDs are always well formed — conclusion-only variables
+/// are existentials.
+pub fn constraint_shape(c: &Constraint) -> Vec<Diagnostic> {
+    let Constraint::Egd(egd) = c else {
+        return Vec::new();
+    };
+    let premise_vars: BTreeSet<Var> = egd.premise.iter().flat_map(|a| a.vars()).collect();
+    let mut unbound: Vec<Var> = [&egd.equal.0, &egd.equal.1]
+        .into_iter()
+        .filter_map(Term::as_var)
+        .filter(|v| !premise_vars.contains(v))
+        .collect();
+    unbound.dedup();
+    unbound
+        .into_iter()
+        .map(|v| {
+            Diagnostic::new(
+                Code::UnboundHeadVariable,
+                egd.name.as_str().to_string(),
+                format!("EGD equality variable {v} does not occur in the premise"),
+            )
+        })
+        .collect()
 }
 
 /// Query-level lints (`E002`/`E003`/`E004`/`W003` on the query's CQ):

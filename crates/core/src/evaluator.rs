@@ -36,10 +36,9 @@
 //!     .run()?;
 //! ```
 //!
-//! The legacy global setters [`Estocada::set_rewrite_parallelism`] /
-//! [`Estocada::set_chase_parallelism`] survive as deprecated shims that
-//! adjust the engine's *default* [`QueryOptions`]; both spellings produce
-//! identical rewriting outcomes (worker counts never change results).
+//! Engine-wide worker defaults are the engine's *default* [`QueryOptions`]
+//! ([`Estocada::set_default_query_options`]); per-query options override
+//! them field by field, and worker counts never change results.
 //!
 //! # The rewrite-plan cache
 //!
@@ -527,9 +526,11 @@ impl Estocada {
     /// The termination certificate of the deployment's combined
     /// constraint set — the verdict the planner feeds into
     /// [`estocada_chase::ChaseConfig::with_certificate`] on every
-    /// plan-cache miss. Certified deployments (`WeaklyAcyclic`,
-    /// `SuperWeaklyAcyclic`, `Stratified`) chase budget-free; the rest
-    /// keep the configured budget guard. Snapshot tooling pins
+    /// plan-cache miss. On certified deployments (`WeaklyAcyclic`,
+    /// `SuperWeaklyAcyclic`, `Stratified`) the forward chase runs
+    /// budget-free; the provenance backchase always keeps its own budget
+    /// guard ([`estocada_chase::ProvChaseConfig`]), as do all chases of
+    /// uncertified deployments. Snapshot tooling pins
     /// [`TerminationCertificate::rung`] per deployment.
     pub fn termination_certificate(&self) -> TerminationCertificate {
         analyze::termination_certificate(&self.schema, &self.catalog)
@@ -541,30 +542,6 @@ impl Estocada {
     /// this set to reproduce the planner's termination behaviour.
     pub fn constraint_set(&self) -> Vec<Constraint> {
         analyze::combined_constraints(&self.schema, &self.catalog, None)
-    }
-
-    /// Set the worker count of the parallel PACB backchase (candidate
-    /// verification) for every query that does not override it. Any value
-    /// yields the identical rewriting outcome; `workers <= 1` runs
-    /// serially.
-    #[deprecated(
-        note = "use the per-query builder: `engine.query(sql).with_rewrite_workers(n)` \
-                (or `set_default_query_options`)"
-    )]
-    pub fn set_rewrite_parallelism(&mut self, workers: usize) {
-        self.default_opts.rewrite_workers = Some(workers.max(1));
-    }
-
-    /// Set the worker count of the chase loops' read-only trigger-search
-    /// phase (both the plain chase and the provenance backchase) for every
-    /// query that does not override it. Any value yields identical chase
-    /// results and rewriting outcomes; `workers <= 1` searches serially.
-    #[deprecated(
-        note = "use the per-query builder: `engine.query(sql).with_chase_workers(n)` \
-                (or `set_default_query_options`)"
-    )]
-    pub fn set_chase_parallelism(&mut self, workers: usize) {
-        self.default_opts.chase_workers = Some(workers.max(1));
     }
 
     /// One DDL operation happened: advance the epoch and drop every cached
@@ -630,6 +607,12 @@ impl Estocada {
 
     /// Add a schema constraint (TGD or EGD) as a DDL operation.
     ///
+    /// In every validation mode a malformed constraint — an EGD whose
+    /// equality uses a variable absent from its premise — is rejected with
+    /// [`Error::Invalid`] carrying an `E003` diagnostic per offending
+    /// variable, and the schema is left untouched: the chase requires
+    /// well-formed constraints.
+    ///
     /// Under [`ValidationMode::Strict`] the analyzer re-certifies the
     /// combined constraint set first: error-severity findings — e.g. a
     /// non-terminating TGD cycle (E001) — reject the DDL with
@@ -638,6 +621,10 @@ impl Estocada {
     /// accepted; an uncertifiable set then simply keeps the chase budget
     /// guard (see `estocada_chase::TerminationCertificate`).
     pub fn add_constraint(&mut self, c: Constraint) -> Result<()> {
+        let malformed = analyze::constraint_shape(&c);
+        if !malformed.is_empty() {
+            return Err(Error::Invalid(malformed));
+        }
         self.schema.constraints.push(c);
         if !matches!(self.validation, ValidationMode::Off) {
             let diags = self.analyze();
@@ -818,7 +805,7 @@ impl Estocada {
         }
         if let Some(n) = opts.chase_workers.or(self.default_opts.chase_workers) {
             cfg.chase.search_workers = n.max(1);
-            cfg.prov.search_workers = n.max(1);
+            cfg.prov.chase.search_workers = n.max(1);
         }
         cfg
     }
@@ -1310,15 +1297,15 @@ mod tests {
     #[test]
     fn options_resolve_against_engine_defaults() {
         let mut est = Estocada::in_memory();
-        #[allow(deprecated)]
-        {
-            est.set_rewrite_parallelism(3);
-            est.set_chase_parallelism(2);
-        }
+        est.set_default_query_options(QueryOptions {
+            rewrite_workers: Some(3),
+            chase_workers: Some(2),
+            ..QueryOptions::default()
+        });
         let d = est.rewrite_config();
         assert_eq!(d.parallelism, 3);
         assert_eq!(d.chase.search_workers, 2);
-        assert_eq!(d.prov.search_workers, 2);
+        assert_eq!(d.prov.chase.search_workers, 2);
         // Per-query override wins.
         let cfg = est.effective_cfg(&QueryOptions {
             rewrite_workers: Some(7),

@@ -2,10 +2,10 @@
 //! queries, untranslatable rewritings, empty datasets, unicode payloads,
 //! and error surfacing.
 
-use estocada::{Dataset, DocData, Error, Estocada, FragmentSpec, TableData};
+use estocada::{Code, Dataset, DocData, Error, Estocada, FragmentSpec, TableData, ValidationMode};
 use estocada_pivot::encoding::document::{PatternStep, TreePattern};
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::{CqBuilder, Value};
+use estocada_pivot::{Atom, CqBuilder, Egd, Term, Value};
 
 fn tiny() -> Estocada {
     let mut est = Estocada::in_memory();
@@ -41,6 +41,46 @@ fn parse_errors_are_reported_not_panicked() {
             matches!(r, Err(Error::Parse(_)) | Err(Error::UnknownName(_))),
             "expected parse/name error for {bad:?}, got {r:?}"
         );
+    }
+}
+
+#[test]
+fn malformed_egd_is_rejected_in_every_validation_mode() {
+    // T(k, v) → v = ?5: the equality variable ?5 is absent from the
+    // premise. The chase cannot evaluate it, so DDL must refuse it up
+    // front — in every mode, since the analyzer's own chases would hit it
+    // under Warn/Strict and the next query would under Off.
+    for mode in [
+        ValidationMode::Warn,
+        ValidationMode::Strict,
+        ValidationMode::Off,
+    ] {
+        let mut est = tiny();
+        est.add_fragment(FragmentSpec::NativeTables {
+            dataset: "d".into(),
+            only: None,
+        })
+        .unwrap();
+        est.set_validation(mode);
+        let before = est.schema().constraints.clone();
+        let bad = Egd::new(
+            "bad_egd",
+            vec![Atom::new("T", vec![Term::var(0), Term::var(1)])],
+            (Term::var(1), Term::var(5)),
+        );
+        match est.add_constraint(bad.into()) {
+            Err(Error::Invalid(diags)) => {
+                assert_eq!(diags.len(), 1, "{diags:?}");
+                let d = &diags[0];
+                assert_eq!(d.code, Code::UnboundHeadVariable);
+                assert_eq!(d.target, "bad_egd");
+                assert!(d.message.contains("?5"), "{d}");
+            }
+            other => panic!("{mode:?}: expected Error::Invalid, got {other:?}"),
+        }
+        assert_eq!(est.schema().constraints, before, "{mode:?}: schema changed");
+        let r = est.query_sql("SELECT t.v FROM T t WHERE t.k = 1").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::str("héllo wörld")]], "{mode:?}");
     }
 }
 

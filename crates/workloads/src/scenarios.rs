@@ -272,7 +272,7 @@ mod tests {
         let serial = with_chase_workers(deploy_kv_migrated(&m, Latencies::zero()), 1);
         let parallel = with_chase_workers(deploy_kv_migrated(&m, Latencies::zero()), 4);
         assert_eq!(parallel.rewrite_config().chase.search_workers, 4);
-        assert_eq!(parallel.rewrite_config().prov.search_workers, 4);
+        assert_eq!(parallel.rewrite_config().prov.chase.search_workers, 4);
         for q in [
             W1Query::PrefLookup(3),
             W1Query::CartLookup(7),

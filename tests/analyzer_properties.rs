@@ -31,8 +31,7 @@ use estocada::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use estocada::{Code, SystemId};
 use estocada_chase::testkit::dump_state;
 use estocada_chase::{
-    certify, chase, chase_stratified, contained_in, ChaseConfig, ChaseError, Elem, Instance,
-    TerminationCertificate,
+    certify, chase, contained_in, ChaseConfig, ChaseError, Elem, Instance, TerminationCertificate,
 };
 use estocada_pivot::{Atom, Constraint, Cq, CqBuilder, Egd, Schema, Term, Tgd};
 use proptest::prelude::*;
@@ -288,9 +287,10 @@ proptest! {
     }
 
     /// The stratified family certifies `Stratified` (EGD contraction
-    /// fails, but every stratum certifies alone) and the budget-free
-    /// stratum-by-stratum chase reproduces the guarded whole-set fixpoint
-    /// bit-identically — including the cross-position null merges.
+    /// fails, but every stratum certifies alone), the certificate lifts
+    /// the budget of the whole-set chase, and the budget-free chase
+    /// reproduces the guarded fixpoint — including the cross-position null
+    /// merges.
     #[test]
     fn stratified_family_certifies_and_chases_budget_free(k in 1usize..4) {
         let cs = stratified_family(k);
@@ -310,13 +310,12 @@ proptest! {
         seed(&mut guarded);
         chase(&mut guarded, &cs, &ChaseConfig::default()).expect("guarded whole-set chase");
 
+        let free_cfg = ChaseConfig::default().with_certificate(&cert);
+        prop_assert_eq!(free_cfg.max_rounds, usize::MAX, "certificate lifts the budget");
         let mut free = Instance::new();
         seed(&mut free);
-        chase_stratified(&mut free, &cs, &ChaseConfig::default(), &cert)
-            .expect("budget-free stratified chase");
-        // Identity on (insertion id, resolved fact): the per-fact round
-        // epoch is execution bookkeeping and legitimately differs between
-        // the one-shot and the stratum-by-stratum executor.
+        chase(&mut free, &cs, &free_cfg).expect("budget-free whole-set chase");
+        // Identity on (insertion id, resolved fact).
         let facts = |i: &Instance| -> Vec<(u32, String)> {
             dump_state(i).into_iter().map(|(id, f, _, _)| (id, f)).collect()
         };

@@ -265,8 +265,8 @@ fn validation_off_still_terminates_via_budget_guard() {
     let mut cfg = est.rewrite_config();
     cfg.chase.max_rounds = 50;
     cfg.chase.max_facts = 2_000;
-    cfg.prov.max_rounds = 50;
-    cfg.prov.max_facts = 2_000;
+    cfg.prov.chase.max_rounds = 50;
+    cfg.prov.chase.max_facts = 2_000;
     est.set_rewrite_config(cfg);
 
     let err = est

@@ -213,13 +213,15 @@ proptest! {
         let run = |workers: usize| {
             let mut inst = build_instance(&facts, true);
             let cfg = ProvChaseConfig {
-                max_rounds: 30,
-                max_facts: 400,
+                chase: ChaseConfig {
+                    max_rounds: 30,
+                    max_facts: 400,
+                    hom: HomConfig { limit: 4_096 },
+                    search_workers: workers,
+                    search_min_facts: 0,
+                    memo: true,
+                },
                 clause_cap: 64,
-                hom: HomConfig { limit: 4_096 },
-                search_workers: workers,
-                search_min_facts: 0,
-                memo: true,
             };
             match prov_chase(&mut inst, &cs, &cfg) {
                 Ok(stats) => Ok((stats, dump(&inst))),
@@ -246,13 +248,15 @@ proptest! {
         let run = |memo: bool| {
             let mut inst = build_instance(&facts, true);
             let cfg = ProvChaseConfig {
-                max_rounds: 30,
-                max_facts: 400,
+                chase: ChaseConfig {
+                    max_rounds: 30,
+                    max_facts: 400,
+                    hom: HomConfig { limit: 4_096 },
+                    search_workers: 1,
+                    search_min_facts: 0,
+                    memo,
+                },
                 clause_cap: 64,
-                hom: HomConfig { limit: 4_096 },
-                search_workers: 1,
-                search_min_facts: 0,
-                memo,
             };
             match prov_chase(&mut inst, &cs, &cfg) {
                 Ok(stats) => Ok((stats, dump(&inst))),
@@ -321,7 +325,7 @@ fn forced_fanout_cfg(chase_workers: usize, cand_workers: usize) -> RewriteConfig
         .with_chase_parallelism(chase_workers)
         .with_parallelism(cand_workers);
     cfg.chase.search_min_facts = 0;
-    cfg.prov.search_min_facts = 0;
+    cfg.prov.chase.search_min_facts = 0;
     cfg
 }
 
