@@ -531,7 +531,7 @@ enum Slot {
 /// A TGD compiled once per run for the apply phase.
 pub(crate) struct CompiledTgd<'a> {
     /// The source TGD (its conclusion atoms drive the applicability probe).
-    pub(crate) tgd: &'a Tgd,
+    tgd: &'a Tgd,
     /// Frontier variables that occur in the conclusion, sorted: the
     /// applicability probe depends on exactly these bindings, and both
     /// caches key on their images.

@@ -26,8 +26,8 @@
 //! no null can actually traverse), `Stratified` (every stratum of
 //! [`estocada_chase::stratify`] certifies alone, so the whole-set chase
 //! terminates and [`estocada_chase::ChaseConfig::with_certificate`] lifts
-//! its budget), `NonTerminating` (E001 with a witness cycle) and `Unknown` (W006 with
-//! a structured blame pair).
+//! its budget), `NonTerminating` (E001 with a witness cycle) and `Unknown`
+//! (W006 with a structured blame pair).
 //!
 //! Severity is a function of the code; error-severity findings reject DDL
 //! under [`ValidationMode::Strict`] via
@@ -609,7 +609,7 @@ pub fn analyze_fragment_spec(
 /// of an EGD's equality occurs in its premise (`E003` per offending
 /// variable). TGDs are always well formed — conclusion-only variables
 /// are existentials.
-pub fn constraint_shape(c: &Constraint) -> Vec<Diagnostic> {
+pub fn constraint_well_formedness(c: &Constraint) -> Vec<Diagnostic> {
     let Constraint::Egd(egd) = c else {
         return Vec::new();
     };

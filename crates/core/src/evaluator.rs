@@ -621,7 +621,7 @@ impl Estocada {
     /// accepted; an uncertifiable set then simply keeps the chase budget
     /// guard (see `estocada_chase::TerminationCertificate`).
     pub fn add_constraint(&mut self, c: Constraint) -> Result<()> {
-        let malformed = analyze::constraint_shape(&c);
+        let malformed = analyze::constraint_well_formedness(&c);
         if !malformed.is_empty() {
             return Err(Error::Invalid(malformed));
         }
