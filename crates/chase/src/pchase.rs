@@ -28,8 +28,9 @@
 //! Skolem naming, provenance formulas, stats, and `Inconsistent` errors —
 //! is bit-identical at any search worker count.
 
-use crate::chase::Firing;
-use crate::chase::{run_rounds, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, FrontierCache};
+use crate::chase::{
+    run_rounds, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, Firing, FrontierCache,
+};
 use crate::hom::{Hom, HomArena};
 use crate::instance::{Elem, Instance};
 use crate::prov::Dnf;
