@@ -63,7 +63,7 @@ fn snapshot(est: &Estocada) -> Vec<(String, String)> {
         out.push((format!("doc:{c}"), format!("{docs:?}")));
     }
     for d in s.par.dataset_names() {
-        let mut rows = s.par.scan(&d, &[], None);
+        let mut rows: Vec<_> = s.par.dataset(&d).unwrap().iter_rows().cloned().collect();
         rows.sort();
         out.push((format!("par:{d}"), format!("{rows:?}")));
     }

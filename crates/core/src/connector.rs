@@ -302,7 +302,7 @@ pub fn sql_unit(
     let ov = out_vars.clone();
     // A store failure must propagate — never decay to an empty row set.
     let runner = move || {
-        let rows = rel_store.try_query(&q)?;
+        let rows = rel_store.query(&q)?;
         Ok(batch_of(&ov, rows))
     };
     Ok(Unit {
@@ -344,7 +344,7 @@ pub fn kv_unit(
             let ov = out_vars.clone();
             let vt = value_terms.clone();
             let runner = move || {
-                let rows = match kv.try_get(&namespace, &key)? {
+                let rows = match kv.get(&namespace, &key)? {
                     Some(values) => unpack_kv_rows(&values)
                         .into_iter()
                         .filter_map(|cells| bind_row(&vt, &cells, &HashMap::new(), &ov))
@@ -395,37 +395,13 @@ pub fn kv_unit(
                 fn out_columns(&self) -> Vec<String> {
                     self.out_vars.iter().map(|v| var_col(*v)).collect()
                 }
-                fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-                    let Some(values) = self.kv.get(&self.namespace, &key[0]) else {
-                        return Vec::new();
-                    };
-                    self.decode(&key[0], &values)
-                }
-                fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
+                fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
                     // Pipelined MGET: the whole probe batch costs one
                     // simulated round-trip instead of one per distinct key.
                     let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
-                    self.kv
-                        .mget(&self.namespace, &flat)
-                        .into_iter()
-                        .zip(keys)
-                        .map(|(hit, key)| match hit {
-                            Some(values) => self.decode(&key[0], &values),
-                            None => Vec::new(),
-                        })
-                        .collect()
-                }
-                fn try_fetch(&self, key: &[Value]) -> StoreResult<Vec<Tuple>> {
-                    Ok(match self.kv.try_get(&self.namespace, &key[0])? {
-                        Some(values) => self.decode(&key[0], &values),
-                        None => Vec::new(),
-                    })
-                }
-                fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
-                    let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
                     Ok(self
                         .kv
-                        .try_mget(&self.namespace, &flat)?
+                        .mget(&self.namespace, &flat)?
                         .into_iter()
                         .zip(keys)
                         .map(|(hit, key)| match hit {
@@ -494,7 +470,7 @@ pub fn text_unit(
             let ov = out_vars.clone();
             let kt = key_term.clone();
             let runner = move || {
-                let keys = text.try_term_lookup(&index, &term_s)?;
+                let keys = text.term_lookup(&index, &term_s)?;
                 let rows: Vec<Tuple> = keys
                     .into_iter()
                     .filter_map(|k| bind_row(std::slice::from_ref(&kt), &[k], &HashMap::new(), &ov))
@@ -528,43 +504,28 @@ pub fn text_unit(
                 fn out_columns(&self) -> Vec<String> {
                     self.out_vars.iter().map(|v| var_col(*v)).collect()
                 }
-                fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-                    let Some(term) = key[0].as_str() else {
-                        return Vec::new();
-                    };
-                    self.text
-                        .term_lookup(&self.index, term)
-                        .into_iter()
-                        .filter_map(|k| {
-                            bind_row(
-                                std::slice::from_ref(&self.key_term),
-                                &[k],
-                                &HashMap::new(),
-                                &self.out_vars,
-                            )
+                fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
+                    // One term lookup per distinct term, in key order.
+                    keys.iter()
+                        .map(|key| {
+                            let Some(term) = key[0].as_str() else {
+                                return Ok(Vec::new());
+                            };
+                            Ok(self
+                                .text
+                                .term_lookup(&self.index, term)?
+                                .into_iter()
+                                .filter_map(|k| {
+                                    bind_row(
+                                        std::slice::from_ref(&self.key_term),
+                                        &[k],
+                                        &HashMap::new(),
+                                        &self.out_vars,
+                                    )
+                                })
+                                .collect())
                         })
                         .collect()
-                }
-                fn try_fetch(&self, key: &[Value]) -> StoreResult<Vec<Tuple>> {
-                    let Some(term) = key[0].as_str() else {
-                        return Ok(Vec::new());
-                    };
-                    Ok(self
-                        .text
-                        .try_term_lookup(&self.index, term)?
-                        .into_iter()
-                        .filter_map(|k| {
-                            bind_row(
-                                std::slice::from_ref(&self.key_term),
-                                &[k],
-                                &HashMap::new(),
-                                &self.out_vars,
-                            )
-                        })
-                        .collect())
-                }
-                fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
-                    keys.iter().map(|k| self.try_fetch(k)).collect()
                 }
                 fn label(&self) -> String {
                     self.label.clone()
@@ -625,7 +586,7 @@ pub fn doc_rows_unit(
     let terms = atom.args.clone();
     let runner = move || {
         let paths: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-        let docs = doc.try_find(&collection, &filter, Some(&paths))?;
+        let docs = doc.find(&collection, &filter, Some(&paths))?;
         let rows: Vec<Tuple> = docs
             .into_iter()
             .filter_map(|d| {
@@ -746,9 +707,9 @@ fn par_scan_unit(
     let all_vars = var_positions.len() == terms.len();
     let runner = move || {
         let rows_raw = if use_index {
-            par.try_lookup(&dataset, &key, &preds)?
+            par.lookup(&dataset, &key, &preds)?
         } else {
-            par.try_scan(&dataset, &preds, None)?
+            par.scan(&dataset, &preds, None)?
         };
         let rows: Vec<Tuple> = if plain && all_vars {
             rows_raw
@@ -837,7 +798,7 @@ fn par_join_unit(
     let runner = move || {
         let lk: Vec<&str> = lkeys.iter().map(|s| s.as_str()).collect();
         let rk: Vec<&str> = rkeys.iter().map(|s| s.as_str()).collect();
-        let rows_raw = par.try_join(&lds, &rds, &lk, &rk)?;
+        let rows_raw = par.join(&lds, &rds, &lk, &rk)?;
         let rows: Vec<Tuple> = if needs_bind {
             rows_raw
                 .into_iter()
@@ -1023,7 +984,7 @@ pub fn doc_tree_unit(
     let doc = stores.doc.clone();
     let ov = ordered_vars.clone();
     let runner = move || {
-        let (_cols, rows) = doc.try_query(&q)?;
+        let (_cols, rows) = doc.query(&q)?;
         Ok(batch_of(&ov, rows))
     };
     // A top-level equality makes the store's path index applicable.

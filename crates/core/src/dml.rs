@@ -844,7 +844,14 @@ mod tests {
         let mut pds = est.stores.par.dataset_names();
         pds.sort();
         for d in pds {
-            let mut rows = est.stores.par.scan(&d, &[], None);
+            let mut rows: Vec<_> = est
+                .stores
+                .par
+                .dataset(&d)
+                .unwrap()
+                .iter_rows()
+                .cloned()
+                .collect();
             rows.sort();
             out.push((format!("par:{d}"), format!("{rows:?}")));
         }

@@ -529,7 +529,7 @@ mod tests {
         .unwrap();
         // Rows are packed as a list of value tuples under the key.
         assert_eq!(
-            stores.kv.get("UserByIdKV", &Value::Int(3)),
+            stores.kv.get("UserByIdKV", &Value::Int(3)).unwrap(),
             Some(vec![Value::array([Value::array([
                 Value::str("user3"),
                 Value::str("free")
@@ -557,7 +557,11 @@ mod tests {
             &stores,
         )
         .unwrap();
-        let gold = stores.kv.get("ByTierKV", &Value::str("gold")).unwrap();
+        let gold = stores
+            .kv
+            .get("ByTierKV", &Value::str("gold"))
+            .unwrap()
+            .unwrap();
         match &gold[0] {
             Value::Array(rows) => assert_eq!(rows.len(), 10),
             other => panic!("expected packed rows, got {other}"),
@@ -582,11 +586,14 @@ mod tests {
             &stores,
         )
         .unwrap();
-        let found = stores.doc.find(
-            "UserDocs",
-            &estocada_docstore::Filter::all().eq("uid", 4i64),
-            None,
-        );
+        let found = stores
+            .doc
+            .find(
+                "UserDocs",
+                &estocada_docstore::Filter::all().eq("uid", 4i64),
+                None,
+            )
+            .unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].get("tier"), Some(&Value::str("gold")));
     }

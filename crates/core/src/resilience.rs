@@ -621,9 +621,10 @@ impl QueryResilience {
     }
 }
 
-/// A [`BindSource`] whose fallible probes run through the per-query
-/// retry/breaker loop. The infallible methods pass straight through, so a
-/// plan built without a resilience context behaves exactly as before.
+/// A [`BindSource`] whose probes run through the per-query retry/breaker
+/// loop. A failed key batch is retried by splitting it in halves, so keys
+/// a succeeding half delivered are never re-fetched. Plans built without
+/// a resilience context use the unwrapped source.
 pub struct ResilientSource {
     inner: Arc<dyn BindSource>,
     system: SystemId,
@@ -653,9 +654,10 @@ impl ResilientSource {
         budget: u32,
         attempt: u32,
     ) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        match self.ctx.call_once(self.system, "fetch_batch", || {
-            self.inner.try_fetch_batch(keys)
-        }) {
+        match self
+            .ctx
+            .call_once(self.system, "fetch_batch", || self.inner.fetch_batch(keys))
+        {
             Ok(v) => Ok(v),
             Err(e)
                 if budget <= 1
@@ -685,20 +687,7 @@ impl BindSource for ResilientSource {
         self.inner.out_columns()
     }
 
-    fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-        self.inner.fetch(key)
-    }
-
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
-        self.inner.fetch_batch(keys)
-    }
-
-    fn try_fetch(&self, key: &[Value]) -> Result<Vec<Tuple>, StoreError> {
-        self.ctx
-            .call(self.system, "fetch", || self.inner.try_fetch(key))
-    }
-
-    fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
         self.fetch_batch_split(keys, self.ctx.policy().max_attempts.max(1), 1)
     }
 
@@ -944,10 +933,7 @@ mod tests {
         fn out_columns(&self) -> Vec<String> {
             vec!["k".into()]
         }
-        fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-            vec![vec![key[0].clone()]]
-        }
-        fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
             self.calls
                 .lock()
                 .push(keys.iter().map(|k| k[0].clone()).collect());
@@ -959,7 +945,10 @@ mod tests {
             {
                 return Err(unavailable(0));
             }
-            Ok(self.fetch_batch(keys))
+            Ok(keys.iter().map(|k| vec![vec![k[0].clone()]]).collect())
+        }
+        fn label(&self) -> String {
+            "flaky".into()
         }
     }
 
@@ -985,7 +974,7 @@ mod tests {
             .iter()
             .map(|k| vec![Value::str(k)])
             .collect();
-        let out = resilient.try_fetch_batch(&keys).unwrap();
+        let out = resilient.fetch_batch(&keys).unwrap();
         // Every key was delivered, in the original batch order.
         let flat: Vec<Value> = out.into_iter().map(|rows| rows[0][0].clone()).collect();
         assert_eq!(
@@ -1038,7 +1027,7 @@ mod tests {
         );
         let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx);
         let keys: Vec<Vec<Value>> = ["c", "d"].iter().map(|k| vec![Value::str(k)]).collect();
-        let out = resilient.try_fetch_batch(&keys);
+        let out = resilient.fetch_batch(&keys);
         assert_eq!(out.unwrap_err().kind, StoreErrorKind::Unavailable);
         // Budget 2: the full batch, then one split round ([c] delivered,
         // [d] out of budget) — no runaway recursion.
@@ -1059,7 +1048,7 @@ mod tests {
         );
         let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx.clone());
         let keys: Vec<Vec<Value>> = ["a", "b"].iter().map(|k| vec![Value::str(k)]).collect();
-        resilient.try_fetch_batch(&keys).unwrap();
+        resilient.fetch_batch(&keys).unwrap();
         assert_eq!(source.calls.lock().len(), 1);
         assert!(!ctx.eventful());
     }

@@ -152,18 +152,19 @@ impl DocStore {
 
     /// Find documents matching `filter`; `projection` (if given) restricts
     /// each result to the first value of the listed paths, packed as an
-    /// object.
+    /// object. Consults the fault hook before the simulated request.
     pub fn find(
         &self,
         collection: &str,
         filter: &Filter,
         projection: Option<&[&str]>,
-    ) -> Vec<Value> {
+    ) -> Result<Vec<Value>, StoreError> {
+        self.fault_check("find")?;
         let guard = self.collections.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let Some(coll) = guard.get(collection) else {
             timer.set_output(0, 0);
-            return Vec::new();
+            return Ok(Vec::new());
         };
         // Index-assisted candidate selection for the first equality clause.
         let candidates: Vec<usize> = match filter
@@ -195,17 +196,19 @@ impl DocStore {
         }
         let bytes: usize = out.iter().map(Value::approx_size).sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Ok(out)
     }
 
     /// Run a tree-pattern query, returning `(columns, rows)` of bindings.
-    pub fn query(&self, q: &DocQuery) -> (Vec<String>, Vec<Vec<Value>>) {
+    /// Consults the fault hook before the simulated request.
+    pub fn query(&self, q: &DocQuery) -> Result<(Vec<String>, Vec<Vec<Value>>), StoreError> {
+        self.fault_check("query")?;
         let guard = self.collections.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let columns = q.columns();
         let Some(coll) = guard.get(&q.collection) else {
             timer.set_output(0, 0);
-            return (columns, Vec::new());
+            return Ok((columns, Vec::new()));
         };
         // Index assist: a top-level child-only chain ending in an equality
         // prunes candidates when a matching path index exists.
@@ -227,12 +230,13 @@ impl DocStore {
             .map(|r| r.iter().map(Value::approx_size).sum::<usize>())
             .sum();
         timer.set_output(rows.len() as u64, bytes as u64);
-        (columns, rows)
+        Ok((columns, rows))
     }
 
-    /// Install (or clear) a fault-injection hook. Consulted only by the
-    /// fallible query entry points ([`DocStore::try_find`],
-    /// [`DocStore::try_query`]); the infallible/admin paths bypass it.
+    /// Install (or clear) a fault-injection hook. The query operations
+    /// ([`DocStore::find`], [`DocStore::query`]) consult it before the
+    /// simulated request; the admin paths (`insert_many`, `remove_docs`,
+    /// `scan`, `len`, …) never do.
     pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
         *self.fault.write() = hook;
     }
@@ -242,25 +246,6 @@ impl DocStore {
             Some(h) => h.check(op),
             None => Ok(()),
         }
-    }
-
-    /// Fallible [`DocStore::find`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_find(
-        &self,
-        collection: &str,
-        filter: &Filter,
-        projection: Option<&[&str]>,
-    ) -> Result<Vec<Value>, StoreError> {
-        self.fault_check("find")?;
-        Ok(self.find(collection, filter, projection))
-    }
-
-    /// Fallible [`DocStore::query`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_query(&self, q: &DocQuery) -> Result<(Vec<String>, Vec<Vec<Value>>), StoreError> {
-        self.fault_check("query")?;
-        Ok(self.query(q))
     }
 
     /// Document count (statistics path).
@@ -347,7 +332,9 @@ mod tests {
     #[test]
     fn find_with_scan() {
         let s = store();
-        let out = s.find("carts", &Filter::all().eq("user", 7i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 7i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
         let m = s.metrics.snapshot();
         assert_eq!(m.tuples_scanned, 100); // no index → full scan
@@ -357,7 +344,9 @@ mod tests {
     fn find_with_index_avoids_scan() {
         let s = store();
         s.create_index("carts", "user");
-        let out = s.find("carts", &Filter::all().eq("user", 7i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 7i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(s.metrics.snapshot().tuples_scanned, 0);
     }
@@ -365,11 +354,13 @@ mod tests {
     #[test]
     fn find_with_projection() {
         let s = store();
-        let out = s.find(
-            "carts",
-            &Filter::all().eq("user", 3i64),
-            Some(&["items.sku"]),
-        );
+        let out = s
+            .find(
+                "carts",
+                &Filter::all().eq("user", 3i64),
+                Some(&["items.sku"]),
+            )
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("items.sku"), Some(&Value::str("odd")));
     }
@@ -381,7 +372,7 @@ mod tests {
         let q = DocQuery::new("carts")
             .with(QueryNode::child("user").eq(8i64))
             .with(QueryNode::descendant("sku").bind("s"));
-        let (cols, rows) = s.query(&q);
+        let (cols, rows) = s.query(&q).unwrap();
         assert_eq!(cols, vec!["s"]);
         assert_eq!(rows, vec![vec![Value::str("even")]]);
         assert_eq!(s.metrics.snapshot().tuples_scanned, 0);
@@ -392,7 +383,9 @@ mod tests {
         let s = store();
         s.create_index("carts", "user");
         s.insert("carts", Value::object([("user", Value::Int(999))]));
-        let out = s.find("carts", &Filter::all().eq("user", 999i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 999i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -402,6 +395,7 @@ mod tests {
         s.create_index("carts", "user");
         let doc = s
             .find("carts", &Filter::all().eq("user", 7i64), None)
+            .unwrap()
             .pop()
             .unwrap();
         assert_eq!(s.remove_docs("carts", std::slice::from_ref(&doc)), 1);
@@ -409,8 +403,11 @@ mod tests {
         // Indexed lookup still correct after the id shift.
         assert!(s
             .find("carts", &Filter::all().eq("user", 7i64), None)
+            .unwrap()
             .is_empty());
-        let out = s.find("carts", &Filter::all().eq("user", 99i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 99i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(s.metrics.snapshot().tuples_scanned, 0);
         // Unknown document / collection: no-ops.
@@ -421,7 +418,7 @@ mod tests {
     #[test]
     fn missing_collection_is_empty() {
         let s = store();
-        assert!(s.find("ghost", &Filter::all(), None).is_empty());
+        assert!(s.find("ghost", &Filter::all(), None).unwrap().is_empty());
         assert!(s.is_empty("ghost"));
         assert!(!s.drop_collection("ghost"));
     }

@@ -14,35 +14,17 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A source reachable only with bound inputs (key-value lookup, term
-/// search). BindJoin probes it once per distinct key, and — when the source
-/// supports it — ships all distinct keys of a batch in one round-trip.
+/// search). BindJoin ships the distinct keys of each input batch in one
+/// probe; a source with a pipelined lookup (Redis `MGET`-style) answers it
+/// in one round-trip, others issue one request per key.
 pub trait BindSource: Send + Sync {
     /// Columns produced per fetched tuple.
     fn out_columns(&self) -> Vec<String>;
-    /// Fetch the tuples matching `key`.
-    fn fetch(&self, key: &[Value]) -> Vec<Tuple>;
-    /// Fetch many keys at once, one result list per key in order. The
-    /// default loops over [`BindSource::fetch`] (one simulated round-trip
-    /// per key); sources with a pipelined lookup (Redis `MGET`-style)
-    /// override this to pay the request cost once per batch.
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
-        keys.iter().map(|k| self.fetch(k)).collect()
-    }
-    /// Fallible [`BindSource::fetch`]. The default delegates to the
-    /// infallible method (which cannot fault); sources over fault-injected
-    /// stores override this to surface [`StoreError`].
-    fn try_fetch(&self, key: &[Value]) -> Result<Vec<Tuple>, StoreError> {
-        Ok(self.fetch(key))
-    }
-    /// Fallible [`BindSource::fetch_batch`]. The default delegates to the
-    /// infallible batch method, preserving its batching behavior.
-    fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        Ok(self.fetch_batch(keys))
-    }
+    /// Fetch the tuples of many keys at once, one result list per key in
+    /// order. A store failure fails the whole probe.
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError>;
     /// Display label (for EXPLAIN output).
-    fn label(&self) -> String {
-        "bind-source".to_string()
-    }
+    fn label(&self) -> String;
 }
 
 /// Aggregate functions.

@@ -56,26 +56,35 @@ impl KvStore {
     }
 
     /// Fetch the tuple stored under `key`; the *key must be supplied* — the
-    /// store's defining access restriction. Charges latency and metrics.
-    pub fn get(&self, namespace: &str, key: &Value) -> Option<Vec<Value>> {
+    /// store's defining access restriction. Consults the fault hook, then
+    /// charges latency and metrics.
+    pub fn get(&self, namespace: &str, key: &Value) -> Result<Option<Vec<Value>>, StoreError> {
+        self.fault_check("get")?;
         let guard = self.namespaces.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let hit = guard.get(namespace).and_then(|ns| ns.get(key));
         match hit {
             Some(payload) => {
                 timer.set_output(1, payload.len() as u64);
-                Some(codec::decode_tuple(payload).expect("corrupt kv payload"))
+                Ok(Some(
+                    codec::decode_tuple(payload).expect("corrupt kv payload"),
+                ))
             }
             None => {
                 timer.set_output(0, 0);
-                None
+                Ok(None)
             }
         }
     }
 
     /// Batched lookup; one simulated round-trip for the whole batch (real
-    /// stores pipeline MGET).
-    pub fn mget(&self, namespace: &str, keys: &[Value]) -> Vec<Option<Vec<Value>>> {
+    /// stores pipeline MGET), so one fault fails the whole batch.
+    pub fn mget(
+        &self,
+        namespace: &str,
+        keys: &[Value],
+    ) -> Result<Vec<Option<Vec<Value>>>, StoreError> {
+        self.fault_check("mget")?;
         let guard = self.namespaces.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let mut tuples = 0u64;
@@ -95,13 +104,13 @@ impl KvStore {
             })
             .collect();
         timer.set_output(tuples, bytes);
-        out
+        Ok(out)
     }
 
-    /// Install (or clear) a fault-injection hook. The hook is consulted by
-    /// the fallible query entry points ([`KvStore::try_get`],
-    /// [`KvStore::try_mget`]) only; the infallible methods and the admin
-    /// paths bypass it.
+    /// Install (or clear) a fault-injection hook. The query operations
+    /// ([`KvStore::get`], [`KvStore::mget`]) consult it before the simulated
+    /// request; the admin paths (`put`, `delete`, `scan`, `len`, …) never
+    /// do.
     pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
         *self.fault.write() = hook;
     }
@@ -111,24 +120,6 @@ impl KvStore {
             Some(h) => h.check(op),
             None => Ok(()),
         }
-    }
-
-    /// Fallible [`KvStore::get`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_get(&self, namespace: &str, key: &Value) -> Result<Option<Vec<Value>>, StoreError> {
-        self.fault_check("get")?;
-        Ok(self.get(namespace, key))
-    }
-
-    /// Fallible [`KvStore::mget`]: the whole batch is one simulated
-    /// round-trip, so one fault fails the whole batch.
-    pub fn try_mget(
-        &self,
-        namespace: &str,
-        keys: &[Value],
-    ) -> Result<Vec<Option<Vec<Value>>>, StoreError> {
-        self.fault_check("mget")?;
-        Ok(self.mget(namespace, keys))
     }
 
     /// Delete a key; returns whether it existed.
@@ -199,11 +190,11 @@ mod tests {
             &[Value::str("dark"), Value::str("fr")],
         );
         assert_eq!(
-            s.get("prefs", &Value::Int(7)),
+            s.get("prefs", &Value::Int(7)).unwrap(),
             Some(vec![Value::str("dark"), Value::str("fr")])
         );
-        assert_eq!(s.get("prefs", &Value::Int(8)), None);
-        assert_eq!(s.get("other", &Value::Int(7)), None);
+        assert_eq!(s.get("prefs", &Value::Int(8)).unwrap(), None);
+        assert_eq!(s.get("other", &Value::Int(7)).unwrap(), None);
     }
 
     #[test]
@@ -211,7 +202,9 @@ mod tests {
         let s = KvStore::new();
         s.put("ns", Value::Int(1), &[Value::Int(10)]);
         s.put("ns", Value::Int(2), &[Value::Int(20)]);
-        let out = s.mget("ns", &[Value::Int(1), Value::Int(3), Value::Int(2)]);
+        let out = s
+            .mget("ns", &[Value::Int(1), Value::Int(3), Value::Int(2)])
+            .unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], Some(vec![Value::Int(10)]));
         assert_eq!(out[1], None);
@@ -225,7 +218,10 @@ mod tests {
         let s = KvStore::new();
         s.put("ns", Value::str("k"), &[Value::Int(1)]);
         s.put("ns", Value::str("k"), &[Value::Int(2)]);
-        assert_eq!(s.get("ns", &Value::str("k")), Some(vec![Value::Int(2)]));
+        assert_eq!(
+            s.get("ns", &Value::str("k")).unwrap(),
+            Some(vec![Value::Int(2)])
+        );
         assert_eq!(s.len("ns"), 1);
     }
 
@@ -259,6 +255,6 @@ mod tests {
             Value::array([Value::str("sku1"), Value::str("sku2")]),
         )]);
         s.put("carts", Value::Int(9), std::slice::from_ref(&cart));
-        assert_eq!(s.get("carts", &Value::Int(9)), Some(vec![cart]));
+        assert_eq!(s.get("carts", &Value::Int(9)).unwrap(), Some(vec![cart]));
     }
 }

@@ -3,7 +3,7 @@
 //! A partitioned, multi-threaded, nested-relational store — the Spark
 //! stand-in. Datasets are row partitions (rows may hold nested arrays of
 //! objects); delegated subqueries run as parallel filter / broadcast hash
-//! join / partial aggregation over the partitions; key indexes give the
+//! join over the partitions; key indexes give the
 //! point-lookup path used by the materialized-join fragment of the paper's
 //! motivating scenario ("indexed by the user ID and product category").
 //! Partition fan-out runs on the shared scoped-thread executor
@@ -16,7 +16,7 @@ pub mod dataset;
 pub mod ops;
 
 pub use dataset::{Dataset, KeyIndex};
-pub use ops::{par_aggregate, par_filter, par_join, AggFun};
+pub use ops::{par_filter, par_join};
 
 use estocada_pivot::Value;
 use estocada_simkit::{FaultHook, LatencyModel, RequestTimer, StoreError, StoreMetrics};
@@ -158,16 +158,24 @@ impl ParStore {
         removed
     }
 
-    /// Parallel scan with predicates and optional projection.
+    /// Parallel scan with predicates and optional projection. Consults the
+    /// fault hook first; a predicate or projection column out of range is
+    /// rejected before the simulated request.
     pub fn scan(
         &self,
         name: &str,
         preds: &[ColPred],
         projection: Option<&[usize]>,
-    ) -> Vec<Vec<Value>> {
+    ) -> Result<Vec<Vec<Value>>, StoreError> {
+        self.fault_check("scan")?;
         let Some(ds) = self.dataset(name) else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
+        let cols = preds
+            .iter()
+            .map(|p| p.col)
+            .chain(projection.into_iter().flatten().copied());
+        check_columns("scan", name, &ds, cols)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         timer.add_scanned(ds.len() as u64);
         let out = ops::par_filter(&ds, &|row| preds.iter().all(|p| p.eval(row)), projection);
@@ -176,14 +184,45 @@ impl ParStore {
             .map(|r| r.iter().map(Value::approx_size).sum::<usize>())
             .sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Ok(out)
     }
 
     /// Point lookup through the key index (plus residual predicates).
-    pub fn lookup(&self, name: &str, key: &[Value], preds: &[ColPred]) -> Vec<Vec<Value>> {
+    /// Consults the fault hook first; a dataset without a key index, a key
+    /// of the wrong arity, or a predicate column out of range is rejected
+    /// before the simulated request.
+    pub fn lookup(
+        &self,
+        name: &str,
+        key: &[Value],
+        preds: &[ColPred],
+    ) -> Result<Vec<Vec<Value>>, StoreError> {
+        self.fault_check("lookup")?;
         let Some(ds) = self.dataset(name) else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
+        match &ds.key_index {
+            None => {
+                return Err(StoreError::internal(
+                    "parallel",
+                    "lookup",
+                    format!("dataset {name} has no key index"),
+                ))
+            }
+            Some(idx) if idx.columns.len() != key.len() => {
+                return Err(StoreError::internal(
+                    "parallel",
+                    "lookup",
+                    format!(
+                        "key of arity {} on dataset {name} indexed by {} column(s)",
+                        key.len(),
+                        idx.columns.len()
+                    ),
+                ))
+            }
+            Some(_) => {}
+        }
+        check_columns("lookup", name, &ds, preds.iter().map(|p| p.col))?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let out: Vec<Vec<Value>> = ds
             .index_lookup(key)
@@ -196,43 +235,51 @@ impl ParStore {
             .map(|r| r.iter().map(Value::approx_size).sum::<usize>())
             .sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Ok(out)
     }
 
     /// Parallel equi-join of two datasets (`left ++ right` output).
+    /// Consults the fault hook first; an unknown join column or unequal
+    /// key lists are rejected before the simulated request.
     pub fn join(
         &self,
         left: &str,
         right: &str,
         left_keys: &[&str],
         right_keys: &[&str],
-    ) -> Vec<Vec<Value>> {
+    ) -> Result<Vec<Vec<Value>>, StoreError> {
+        self.fault_check("join")?;
         let (Some(l), Some(r)) = (self.dataset(left), self.dataset(right)) else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
+        if left_keys.len() != right_keys.len() {
+            return Err(StoreError::internal(
+                "parallel",
+                "join",
+                format!(
+                    "{} left key(s) against {} right key(s)",
+                    left_keys.len(),
+                    right_keys.len()
+                ),
+            ));
+        }
+        let lk = join_columns(left, &l, left_keys)?;
+        let rk = join_columns(right, &r, right_keys)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         timer.add_scanned((l.len() + r.len()) as u64);
-        let lk: Vec<usize> = left_keys
-            .iter()
-            .map(|c| l.column_index(c).expect("unknown left join column"))
-            .collect();
-        let rk: Vec<usize> = right_keys
-            .iter()
-            .map(|c| r.column_index(c).expect("unknown right join column"))
-            .collect();
         let out = ops::par_join(&l, &r, &lk, &rk);
         let bytes: usize = out
             .iter()
             .map(|row| row.iter().map(Value::approx_size).sum::<usize>())
             .sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Ok(out)
     }
 
-    /// Install (or clear) a fault-injection hook. Consulted only by the
-    /// fallible query entry points ([`ParStore::try_scan`],
-    /// [`ParStore::try_lookup`], [`ParStore::try_join`]); infallible/admin
-    /// paths bypass it.
+    /// Install (or clear) a fault-injection hook. The query operations
+    /// ([`ParStore::scan`], [`ParStore::lookup`], [`ParStore::join`])
+    /// consult it before anything else; the admin paths (`insert_rows`,
+    /// `delete_rows`, `dataset`, `len`, …) never do.
     pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
         *self.fault.write() = hook;
     }
@@ -242,66 +289,6 @@ impl ParStore {
             Some(h) => h.check(op),
             None => Ok(()),
         }
-    }
-
-    /// Fallible [`ParStore::scan`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_scan(
-        &self,
-        name: &str,
-        preds: &[ColPred],
-        projection: Option<&[usize]>,
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        self.fault_check("scan")?;
-        Ok(self.scan(name, preds, projection))
-    }
-
-    /// Fallible [`ParStore::lookup`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_lookup(
-        &self,
-        name: &str,
-        key: &[Value],
-        preds: &[ColPred],
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        self.fault_check("lookup")?;
-        Ok(self.lookup(name, key, preds))
-    }
-
-    /// Fallible [`ParStore::join`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_join(
-        &self,
-        left: &str,
-        right: &str,
-        left_keys: &[&str],
-        right_keys: &[&str],
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        self.fault_check("join")?;
-        Ok(self.join(left, right, left_keys, right_keys))
-    }
-
-    /// Parallel group-by aggregation.
-    pub fn aggregate(
-        &self,
-        name: &str,
-        group_by: &[&str],
-        agg: AggFun,
-        agg_col: &str,
-    ) -> Vec<Vec<Value>> {
-        let Some(ds) = self.dataset(name) else {
-            return Vec::new();
-        };
-        let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        timer.add_scanned(ds.len() as u64);
-        let gb: Vec<usize> = group_by
-            .iter()
-            .map(|c| ds.column_index(c).expect("unknown group-by column"))
-            .collect();
-        let ac = ds.column_index(agg_col).expect("unknown aggregate column");
-        let out = ops::par_aggregate(&ds, &gb, agg, ac);
-        timer.set_output(out.len() as u64, 0);
-        out
     }
 
     /// Row count of a dataset.
@@ -323,6 +310,37 @@ impl ParStore {
     pub fn dataset_names(&self) -> Vec<String> {
         self.datasets.read().keys().cloned().collect()
     }
+}
+
+/// Reject column positions outside `ds`'s arity.
+fn check_columns(
+    op: &str,
+    name: &str,
+    ds: &Dataset,
+    mut cols: impl Iterator<Item = usize>,
+) -> Result<(), StoreError> {
+    match cols.find(|c| *c >= ds.columns.len()) {
+        Some(c) => Err(StoreError::internal(
+            "parallel",
+            op,
+            format!(
+                "column {c} out of range on dataset {name} of {} column(s)",
+                ds.columns.len()
+            ),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Resolve join column names to positions on `ds`.
+fn join_columns(name: &str, ds: &Dataset, keys: &[&str]) -> Result<Vec<usize>, StoreError> {
+    keys.iter()
+        .map(|c| {
+            ds.column_index(c).ok_or_else(|| {
+                StoreError::internal("parallel", "join", format!("unknown column {c} on {name}"))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -349,15 +367,17 @@ mod tests {
     #[test]
     fn scan_with_predicates() {
         let s = store();
-        let out = s.scan(
-            "visits",
-            &[ColPred {
-                col: 0,
-                op: ParOp::Eq,
-                value: Value::Int(7),
-            }],
-            Some(&[1]),
-        );
+        let out = s
+            .scan(
+                "visits",
+                &[ColPred {
+                    col: 0,
+                    op: ParOp::Eq,
+                    value: Value::Int(7),
+                }],
+                Some(&[1]),
+            )
+            .unwrap();
         assert_eq!(out.len(), 10);
         assert!(s.metrics.snapshot().tuples_scanned >= 1000);
     }
@@ -366,18 +386,20 @@ mod tests {
     fn lookup_via_key_index() {
         let s = store();
         s.build_key_index("visits", &["user"]);
-        let out = s.lookup("visits", &[Value::Int(7)], &[]);
+        let out = s.lookup("visits", &[Value::Int(7)], &[]).unwrap();
         assert_eq!(out.len(), 10);
         // Residual predicate narrows further.
-        let narrowed = s.lookup(
-            "visits",
-            &[Value::Int(7)],
-            &[ColPred {
-                col: 1,
-                op: ParOp::Eq,
-                value: Value::str("url7"),
-            }],
-        );
+        let narrowed = s
+            .lookup(
+                "visits",
+                &[Value::Int(7)],
+                &[ColPred {
+                    col: 1,
+                    op: ParOp::Eq,
+                    value: Value::str("url7"),
+                }],
+            )
+            .unwrap();
         assert_eq!(narrowed.len(), 10); // user 7 always hits url7
     }
 
@@ -395,26 +417,16 @@ mod tests {
             }),
             2,
         );
-        let out = s.join("visits", "users", &["user"], &["uid"]);
+        let out = s.join("visits", "users", &["user"], &["uid"]).unwrap();
         assert_eq!(out.len(), 1000);
         assert_eq!(out[0].len(), 5);
     }
 
     #[test]
-    fn aggregate_by_group() {
-        let s = store();
-        let out = s.aggregate("visits", &["url"], AggFun::Count, "user");
-        assert_eq!(out.len(), 10);
-        for row in &out {
-            assert_eq!(row[1], Value::Int(100));
-        }
-    }
-
-    #[test]
     fn missing_dataset_yields_empty() {
         let s = store();
-        assert!(s.scan("ghost", &[], None).is_empty());
-        assert!(s.join("ghost", "visits", &[], &[]).is_empty());
+        assert!(s.scan("ghost", &[], None).unwrap().is_empty());
+        assert!(s.join("ghost", "visits", &[], &[]).unwrap().is_empty());
         assert!(!s.drop_dataset("ghost"));
     }
 
@@ -430,7 +442,7 @@ mod tests {
         // The pre-mutation handle still sees the old snapshot.
         assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1001);
-        assert_eq!(s.lookup("visits", &[Value::Int(7)], &[]).len(), 11);
+        assert_eq!(s.lookup("visits", &[Value::Int(7)], &[]).unwrap().len(), 11);
         let removed = s.delete_rows(
             "visits",
             &[
@@ -440,7 +452,7 @@ mod tests {
         );
         assert_eq!(removed, 1);
         assert_eq!(s.len("visits"), 1000);
-        assert_eq!(s.lookup("visits", &[Value::Int(7)], &[]).len(), 10);
+        assert_eq!(s.lookup("visits", &[Value::Int(7)], &[]).unwrap().len(), 10);
     }
 
     #[test]
@@ -456,8 +468,57 @@ mod tests {
             2,
         );
         s.build_key_index("history", &["user"]);
-        let out = s.lookup("history", &[Value::Int(1)], &[]);
+        let out = s.lookup("history", &[Value::Int(1)], &[]).unwrap();
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0][1], Value::Array(_)));
+    }
+
+    /// A rejected request: an `Internal` error naming the op, and nothing
+    /// charged to the store.
+    fn assert_rejected(s: &ParStore, res: Result<Vec<Vec<Value>>, StoreError>, op: &str) {
+        let e = res.expect_err("bad input must be rejected");
+        assert!(matches!(
+            e.kind,
+            estocada_simkit::StoreErrorKind::Internal(_)
+        ));
+        assert_eq!((e.store.as_str(), e.op.as_str()), ("parallel", op));
+        assert_eq!(s.metrics.snapshot().requests, 0);
+    }
+
+    #[test]
+    fn join_on_an_unknown_column_is_an_error() {
+        let s = store();
+        assert_rejected(&s, s.join("visits", "visits", &["nope"], &["user"]), "join");
+        assert_rejected(&s, s.join("visits", "visits", &["user"], &["nope"]), "join");
+        assert_rejected(&s, s.join("visits", "visits", &["user"], &[]), "join");
+    }
+
+    #[test]
+    fn lookup_without_a_key_index_is_an_error() {
+        let s = store();
+        assert_rejected(&s, s.lookup("visits", &[Value::Int(7)], &[]), "lookup");
+    }
+
+    #[test]
+    fn lookup_with_a_key_of_the_wrong_arity_is_an_error() {
+        let s = store();
+        s.build_key_index("visits", &["user"]);
+        let key = [Value::Int(7), Value::str("url7")];
+        assert_rejected(&s, s.lookup("visits", &key, &[]), "lookup");
+        assert_rejected(&s, s.lookup("visits", &[], &[]), "lookup");
+    }
+
+    #[test]
+    fn out_of_range_columns_are_an_error() {
+        let s = store();
+        s.build_key_index("visits", &["user"]);
+        let bad = [ColPred {
+            col: 3,
+            op: ParOp::Eq,
+            value: Value::Int(7),
+        }];
+        assert_rejected(&s, s.scan("visits", &bad, None), "scan");
+        assert_rejected(&s, s.scan("visits", &[], Some(&[0, 3])), "scan");
+        assert_rejected(&s, s.lookup("visits", &[Value::Int(7)], &bad), "lookup");
     }
 }

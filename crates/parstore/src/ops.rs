@@ -1,14 +1,13 @@
-//! Parallel dataset operations: scan/filter, broadcast hash join, and
-//! partial aggregation — the delegable operations of the parallel store
-//! ("if the DMS has a distributed architecture, the delegated subquery will
-//! be evaluated in parallel fashion").
+//! Parallel dataset operations: scan/filter and broadcast hash join — the
+//! delegable operations of the parallel store ("if the DMS has a
+//! distributed architecture, the delegated subquery will be evaluated in
+//! parallel fashion").
 //!
-//! All three operators fan their per-partition work out through the shared
+//! Both operators fan their per-partition work out through the shared
 //! scoped-thread executor ([`estocada_parexec::scoped_map`]) and merge the
 //! results **in partition order**, so every operator is deterministic: the
 //! output is identical to a serial partition-by-partition run regardless of
-//! worker scheduling (including the floating-point sums of
-//! [`par_aggregate`], which are order-sensitive).
+//! worker scheduling.
 
 use crate::dataset::Dataset;
 use estocada_parexec::scoped_map;
@@ -71,84 +70,6 @@ pub fn par_join(
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Aggregate functions supported by the parallel store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFun {
-    /// Row count.
-    Count,
-    /// Numeric sum.
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-/// Per-group partial aggregate state.
-type Partial = HashMap<Vec<Value>, (f64, i64, Option<Value>)>; // (sum, count, min-or-max)
-
-/// Parallel group-by aggregation: per-partition partial aggregates, merged
-/// on the coordinator in partition order (the classic map-side combine).
-pub fn par_aggregate(
-    ds: &Dataset,
-    group_by: &[usize],
-    agg: AggFun,
-    agg_col: usize,
-) -> Vec<Vec<Value>> {
-    let partials = scoped_map(ds.partitions.len(), &ds.partitions, |_, part| {
-        let mut acc: Partial = HashMap::new();
-        for row in part {
-            let key: Vec<Value> = group_by.iter().map(|c| row[*c].clone()).collect();
-            let v = &row[agg_col];
-            let e = acc.entry(key).or_insert((0.0, 0, None));
-            e.0 += v.as_double().unwrap_or(0.0);
-            e.1 += 1;
-            let replace = match (&e.2, agg) {
-                (None, _) => true,
-                (Some(cur), AggFun::Min) => v < cur,
-                (Some(cur), AggFun::Max) => v > cur,
-                _ => false,
-            };
-            if replace {
-                e.2 = Some(v.clone());
-            }
-        }
-        acc
-    });
-    let mut merged: Partial = HashMap::new();
-    for partial in partials {
-        for (k, (sum, count, mm)) in partial {
-            let e = merged.entry(k).or_insert((0.0, 0, None));
-            e.0 += sum;
-            e.1 += count;
-            let replace = match (&e.2, &mm, agg) {
-                (_, None, _) => false,
-                (None, Some(_), _) => true,
-                (Some(cur), Some(new), AggFun::Min) => new < cur,
-                (Some(cur), Some(new), AggFun::Max) => new > cur,
-                _ => false,
-            };
-            if replace {
-                e.2 = mm;
-            }
-        }
-    }
-    let mut out: Vec<Vec<Value>> = merged
-        .into_iter()
-        .map(|(mut key, (sum, count, mm))| {
-            let v = match agg {
-                AggFun::Count => Value::Int(count),
-                AggFun::Sum => Value::Double(sum),
-                AggFun::Min | AggFun::Max => mm.unwrap_or(Value::Null),
-            };
-            key.push(v);
-            key
-        })
-        .collect();
-    out.sort();
-    out
 }
 
 fn project(row: &[Value], projection: Option<&[usize]>) -> Vec<Value> {
@@ -216,7 +137,6 @@ mod tests {
         let empty = Dataset::from_rows(&["id", "grp", "amount"], Vec::new(), 4);
         assert!(par_filter(&empty, &|_| true, None).is_empty());
         assert!(par_join(&empty, &dataset(), &[1], &[1]).is_empty());
-        assert!(par_aggregate(&empty, &[], AggFun::Count, 0).is_empty());
     }
 
     #[test]
@@ -269,52 +189,5 @@ mod tests {
         let left = dataset();
         let right = Dataset::from_rows(&["grp"], vec![vec![Value::Int(99)]], 1);
         assert!(par_join(&left, &right, &[1], &[0]).is_empty());
-    }
-
-    #[test]
-    fn aggregate_count_and_sum() {
-        let d = dataset();
-        let counts = par_aggregate(&d, &[1], AggFun::Count, 0);
-        assert_eq!(counts.len(), 4);
-        for row in &counts {
-            assert_eq!(row[1], Value::Int(25));
-        }
-        let sums = par_aggregate(&d, &[1], AggFun::Sum, 2);
-        let total: f64 = sums.iter().map(|r| r[1].as_double().unwrap()).sum();
-        let expected: f64 = (0..100).map(|i| i as f64 * 0.5).sum();
-        assert!((total - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aggregate_sums_are_deterministic_across_runs() {
-        // Partition-order merge: repeated runs must produce bit-identical
-        // doubles (the pre-executor fan-in merged in arrival order).
-        let d = dataset();
-        let first = par_aggregate(&d, &[1], AggFun::Sum, 2);
-        for _ in 0..10 {
-            assert_eq!(par_aggregate(&d, &[1], AggFun::Sum, 2), first);
-        }
-    }
-
-    #[test]
-    fn aggregate_min_max() {
-        let d = dataset();
-        let mins = par_aggregate(&d, &[1], AggFun::Min, 0);
-        // group g's min id is g itself.
-        for row in &mins {
-            assert_eq!(row[0], row[1]);
-        }
-        let maxs = par_aggregate(&d, &[1], AggFun::Max, 0);
-        for row in &maxs {
-            let g = row[0].as_int().unwrap();
-            assert_eq!(row[1], Value::Int(96 + g));
-        }
-    }
-
-    #[test]
-    fn global_aggregate_empty_group_by() {
-        let d = dataset();
-        let out = par_aggregate(&d, &[], AggFun::Count, 0);
-        assert_eq!(out, vec![vec![Value::Int(100)]]);
     }
 }

@@ -13,7 +13,7 @@ pub mod query;
 pub mod stats;
 pub mod table;
 
-pub use exec::{ExecCounters, QueryError};
+pub use exec::ExecCounters;
 pub use query::{CmpOp, ColRef, Pred, SqlQuery};
 pub use stats::{analyze, ColumnStats, TableStats};
 pub use table::{Index, IndexKind, Table};
@@ -117,12 +117,18 @@ impl RelStore {
         self.tables.read().get(table).map(|t| t.rows.clone())
     }
 
-    /// Run a conjunctive query; metrics and latency are charged.
-    pub fn query(&self, q: &SqlQuery) -> Result<Vec<Vec<Value>>, QueryError> {
+    /// Run a conjunctive query: consults the fault hook, then charges
+    /// metrics and latency. Native failures ([`exec::QueryError`]) surface as
+    /// [`StoreError`] of kind `Internal`.
+    pub fn query(&self, q: &SqlQuery) -> Result<Vec<Vec<Value>>, StoreError> {
+        if let Some(h) = self.fault.read().as_ref() {
+            h.check("query")?;
+        }
         let guard = self.tables.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let mut counters = ExecCounters::default();
-        let rows = exec::execute(q, &guard, &mut counters)?;
+        let rows = exec::execute(q, &guard, &mut counters)
+            .map_err(|e| StoreError::internal("relational", "query", e.to_string()))?;
         timer.add_scanned(counters.scanned);
         let bytes: usize = rows
             .iter()
@@ -132,21 +138,11 @@ impl RelStore {
         Ok(rows)
     }
 
-    /// Install (or clear) a fault-injection hook. Consulted only by
-    /// [`RelStore::try_query`]; the infallible/admin paths bypass it.
+    /// Install (or clear) a fault-injection hook. [`RelStore::query`]
+    /// consults it before the simulated request; the admin paths
+    /// (`insert_many`, `delete_rows`, `scan`, `analyze`, …) never do.
     pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
         *self.fault.write() = hook;
-    }
-
-    /// Fallible [`RelStore::query`]: consults the fault hook before the
-    /// simulated request, and surfaces native failures as
-    /// [`StoreError`] (kind `Internal`) instead of [`QueryError`].
-    pub fn try_query(&self, q: &SqlQuery) -> Result<Vec<Vec<Value>>, StoreError> {
-        if let Some(h) = self.fault.read().as_ref() {
-            h.check("query")?;
-        }
-        self.query(q)
-            .map_err(|e| StoreError::internal("relational", "query", e.to_string()))
     }
 
     /// Compute statistics for `table`.

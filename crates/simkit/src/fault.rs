@@ -21,10 +21,12 @@
 //! result (a `PartialResponse` fault models a store that *detected* a
 //! truncated response and reported it — the caller never sees a silently
 //! short row set), and a latency injection spin-waits like the regular
-//! [`crate::LatencyModel`] charge. Stores consult the hook only on their
-//! **fallible** (`try_*`) query entry points; the infallible legacy
-//! methods bypass it, which is what keeps admin/materialization paths and
-//! pre-existing tests fault-free by construction.
+//! [`crate::LatencyModel`] charge. Every store **query** operation
+//! (`query`, `get`, `mget`, `find`, `scan`, `lookup`, `join`,
+//! `term_lookup`) returns `Result<_, StoreError>` and consults the hook
+//! first; the admin paths (loading, deletes, dumps, statistics) never do,
+//! which keeps materialization and fragment maintenance fault-free by
+//! construction.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -316,7 +318,8 @@ pub fn spin_for(d: Duration) {
 /// One store's cursor over a shared [`FaultPlan`]: counts the store's
 /// operations (globally and per operation kind) and answers "does this
 /// operation fault?". Installed into a store with its `set_fault_hook`;
-/// consulted by the store's fallible `try_*` entry points only.
+/// consulted first by each of the store's query operations, never by its
+/// admin paths.
 #[derive(Debug)]
 pub struct FaultHook {
     plan: Arc<FaultPlan>,

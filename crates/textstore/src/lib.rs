@@ -2,10 +2,10 @@
 //!
 //! An in-memory full-text store — the SOLR/Lucene stand-in. Documents
 //! (keyed by an application value, e.g. product id) are tokenized into an
-//! inverted index; searches score with BM25. The pivot model exposes an
-//! index as a `(term, docKey)` relation with an `io` binding pattern: the
-//! term must be supplied — exactly how the mediator integrates full-text
-//! fragments.
+//! inverted index. The pivot model exposes an index as a `(term, docKey)`
+//! relation with an `io` binding pattern: the term must be supplied, and
+//! [`TextStore::term_lookup`] returns the keys of the documents holding it
+//! — exactly how the mediator integrates full-text fragments.
 
 #![warn(missing_docs)]
 
@@ -19,36 +19,25 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// BM25 parameters (standard defaults).
-const BM25_K1: f64 = 1.2;
-const BM25_B: f64 = 0.75;
-
 #[derive(Debug, Default)]
 struct TextIndex {
-    /// Document keys and token counts, by internal doc id.
-    docs: Vec<(Value, u32)>,
-    /// Raw document text, by internal doc id (retained so documents can be
-    /// removed by exact content and the index rebuilt).
-    raw: Vec<String>,
-    /// term → postings (doc id, term frequency).
-    postings: HashMap<String, Vec<(u32, u32)>>,
-    total_tokens: u64,
+    /// `(key, raw text)` by internal doc id (the text is retained so
+    /// documents can be removed by exact content and the index rebuilt).
+    docs: Vec<(Value, String)>,
+    /// term → ids of the documents holding it, in doc-id order.
+    postings: HashMap<String, Vec<u32>>,
 }
 
 impl TextIndex {
     fn add(&mut self, key: Value, text: &str) {
-        let tokens = tokenize(text);
         let id = self.docs.len() as u32;
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in &tokens {
-            *tf.entry(t.clone()).or_insert(0) += 1;
+        let mut terms = tokenize(text);
+        terms.sort_unstable();
+        terms.dedup();
+        for term in terms {
+            self.postings.entry(term).or_default().push(id);
         }
-        for (term, f) in tf {
-            self.postings.entry(term).or_default().push((id, f));
-        }
-        self.total_tokens += tokens.len() as u64;
-        self.docs.push((key, tokens.len() as u32));
-        self.raw.push(text.to_string());
+        self.docs.push((key, text.to_string()));
     }
 
     /// Rebuild a fresh index from (key, text) pairs — used after removals,
@@ -61,49 +50,13 @@ impl TextIndex {
         idx
     }
 
-    fn avg_len(&self) -> f64 {
-        if self.docs.is_empty() {
-            0.0
-        } else {
-            self.total_tokens as f64 / self.docs.len() as f64
-        }
-    }
-
-    /// BM25-scored disjunctive search over `terms`.
-    fn search(&self, terms: &[String], limit: usize) -> Vec<(Value, f64)> {
-        let n = self.docs.len() as f64;
-        let avg = self.avg_len();
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        for term in terms {
-            let Some(postings) = self.postings.get(term) else {
-                continue;
-            };
-            let df = postings.len() as f64;
-            let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-            for (doc, tf) in postings {
-                let len = self.docs[*doc as usize].1 as f64;
-                let tf = *tf as f64;
-                let s = idf * (tf * (BM25_K1 + 1.0))
-                    / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * len / avg.max(1.0)));
-                *scores.entry(*doc).or_insert(0.0) += s;
-            }
-        }
-        let mut out: Vec<(Value, f64)> = scores
-            .into_iter()
-            .map(|(doc, s)| (self.docs[doc as usize].0.clone(), s))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(limit);
-        out
-    }
-
-    /// Unscored postings of one term (the CQ integration path).
+    /// Keys of the documents holding `term`, in doc-id order.
     fn lookup(&self, term: &str) -> Vec<Value> {
         self.postings
             .get(term)
             .map(|p| {
                 p.iter()
-                    .map(|(doc, _)| self.docs[*doc as usize].0.clone())
+                    .map(|doc| self.docs[*doc as usize].0.clone())
                     .collect()
             })
             .unwrap_or_default()
@@ -154,12 +107,7 @@ impl TextStore {
         let Some(idx) = guard.get_mut(index) else {
             return 0;
         };
-        let mut pairs: Vec<(Value, String)> = idx
-            .docs
-            .iter()
-            .map(|(k, _)| k.clone())
-            .zip(idx.raw.iter().cloned())
-            .collect();
+        let mut pairs = idx.docs.clone();
         let mut removed = 0;
         for (key, text) in docs {
             if let Some(pos) = pairs.iter().position(|(k, t)| k == key && t == text) {
@@ -173,22 +121,13 @@ impl TextStore {
         removed
     }
 
-    /// BM25 search; `query` is tokenized with the same analyzer.
-    pub fn search(&self, index: &str, query: &str, limit: usize) -> Vec<(Value, f64)> {
-        let guard = self.indexes.read();
-        let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let out = guard
-            .get(index)
-            .map(|idx| idx.search(&tokenize(query), limit))
-            .unwrap_or_default();
-        let bytes: usize = out.iter().map(|(k, _)| k.approx_size() + 8).sum();
-        timer.set_output(out.len() as u64, bytes as u64);
-        out
-    }
-
     /// Keys of documents containing `term` — the binding-restricted
     /// relational access path (`Contains(term, docKey)` with pattern `io`).
-    pub fn term_lookup(&self, index: &str, term: &str) -> Vec<Value> {
+    /// Consults the fault hook before the simulated request.
+    pub fn term_lookup(&self, index: &str, term: &str) -> Result<Vec<Value>, StoreError> {
+        if let Some(h) = self.fault.read().as_ref() {
+            h.check("term_lookup")?;
+        }
         let guard = self.indexes.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let normalized = tokenize(term);
@@ -198,40 +137,15 @@ impl TextStore {
         };
         let bytes: usize = out.iter().map(Value::approx_size).sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Ok(out)
     }
 
-    /// Install (or clear) a fault-injection hook. Consulted only by the
-    /// fallible query entry points ([`TextStore::try_search`],
-    /// [`TextStore::try_term_lookup`]); infallible/admin paths bypass it.
+    /// Install (or clear) a fault-injection hook. [`TextStore::term_lookup`]
+    /// consults it before the simulated request; the admin paths
+    /// (`index_document`, `remove_documents`, `documents`, `len`, …) never
+    /// do.
     pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
         *self.fault.write() = hook;
-    }
-
-    fn fault_check(&self, op: &str) -> Result<(), StoreError> {
-        match self.fault.read().as_ref() {
-            Some(h) => h.check(op),
-            None => Ok(()),
-        }
-    }
-
-    /// Fallible [`TextStore::search`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_search(
-        &self,
-        index: &str,
-        query: &str,
-        limit: usize,
-    ) -> Result<Vec<(Value, f64)>, StoreError> {
-        self.fault_check("search")?;
-        Ok(self.search(index, query, limit))
-    }
-
-    /// Fallible [`TextStore::term_lookup`]: consults the fault hook before
-    /// the simulated request.
-    pub fn try_term_lookup(&self, index: &str, term: &str) -> Result<Vec<Value>, StoreError> {
-        self.fault_check("term_lookup")?;
-        Ok(self.term_lookup(index, term))
     }
 
     /// Dump of an index's `(key, raw text)` documents in insertion order
@@ -241,13 +155,7 @@ impl TextStore {
         self.indexes
             .read()
             .get(index)
-            .map(|i| {
-                i.docs
-                    .iter()
-                    .map(|(k, _)| k.clone())
-                    .zip(i.raw.iter().cloned())
-                    .collect()
-            })
+            .map(|i| i.docs.clone())
             .unwrap_or_default()
     }
 
@@ -292,40 +200,24 @@ mod tests {
     }
 
     #[test]
-    fn search_ranks_matching_documents() {
-        let s = store();
-        let hits = s.search("catalog", "wireless mouse", 10);
-        assert_eq!(hits.len(), 2);
-        // Doc 1 mentions both terms in a shorter doc than doc 3.
-        assert_eq!(hits[0].0, Value::Int(1));
-        assert!(hits[0].1 > hits[1].1);
-    }
-
-    #[test]
     fn term_lookup_returns_all_keys() {
         let s = store();
-        let mut keys = s.term_lookup("catalog", "usb");
+        let mut keys = s.term_lookup("catalog", "usb").unwrap();
         keys.sort();
         assert_eq!(keys, vec![Value::Int(1), Value::Int(2)]);
-        assert!(s.term_lookup("catalog", "ghost").is_empty());
+        assert!(s.term_lookup("catalog", "ghost").unwrap().is_empty());
     }
 
     #[test]
     fn term_lookup_normalizes_case() {
         let s = store();
-        assert_eq!(s.term_lookup("catalog", "USB").len(), 2);
-    }
-
-    #[test]
-    fn limit_truncates_results() {
-        let s = store();
-        assert_eq!(s.search("catalog", "keyboard mouse usb", 1).len(), 1);
+        assert_eq!(s.term_lookup("catalog", "USB").unwrap().len(), 2);
     }
 
     #[test]
     fn missing_index_is_empty() {
         let s = store();
-        assert!(s.search("ghost", "x", 10).is_empty());
+        assert!(s.term_lookup("ghost", "x").unwrap().is_empty());
         assert!(s.is_empty("ghost"));
         assert_eq!(s.len("catalog"), 3);
     }
@@ -346,16 +238,22 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(s.len("catalog"), 2);
         // Postings were recomputed: "mouse" now only hits doc 3, "usb" doc 2.
-        assert_eq!(s.term_lookup("catalog", "mouse"), vec![Value::Int(3)]);
-        assert_eq!(s.term_lookup("catalog", "usb"), vec![Value::Int(2)]);
+        assert_eq!(
+            s.term_lookup("catalog", "mouse").unwrap(),
+            vec![Value::Int(3)]
+        );
+        assert_eq!(
+            s.term_lookup("catalog", "usb").unwrap(),
+            vec![Value::Int(2)]
+        );
         assert_eq!(s.remove_documents("ghost", &[]), 0);
     }
 
     #[test]
     fn metrics_record_searches() {
         let s = store();
-        s.search("catalog", "usb", 10);
-        s.term_lookup("catalog", "usb");
+        s.term_lookup("catalog", "usb").unwrap();
+        s.term_lookup("catalog", "ghost").unwrap();
         assert_eq!(s.metrics.snapshot().requests, 2);
     }
 }

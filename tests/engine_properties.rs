@@ -4,7 +4,7 @@
 
 use estocada_engine::{execute, CmpOp, Expr, Plan, RowBatch};
 use estocada_kvstore::codec::{decode_tuple, encode_tuple};
-use estocada_parstore::{par_aggregate, par_filter, par_join, AggFun, Dataset};
+use estocada_parstore::{par_filter, par_join, Dataset};
 use estocada_pivot::Value;
 use proptest::prelude::*;
 
@@ -162,23 +162,6 @@ proptest! {
         par.sort();
         eng.rows.sort();
         prop_assert_eq!(par, eng.rows);
-    }
-
-    /// Parallel count aggregation matches group sizes.
-    #[test]
-    fn par_aggregate_counts(rows in proptest::collection::vec(0i64..5, 1..50), parts in 1usize..5) {
-        let data: Vec<Vec<Value>> = rows.iter().map(|g| vec![Value::Int(*g)]).collect();
-        let ds = Dataset::from_rows(&["g"], data, parts);
-        let out = par_aggregate(&ds, &[0], AggFun::Count, 0);
-        let mut expected: std::collections::HashMap<i64, i64> = Default::default();
-        for g in &rows {
-            *expected.entry(*g).or_insert(0) += 1;
-        }
-        prop_assert_eq!(out.len(), expected.len());
-        for row in out {
-            let g = row[0].as_int().unwrap();
-            prop_assert_eq!(&row[1], &Value::Int(expected[&g]));
-        }
     }
 
     /// Value ordering is total and consistent with equality (sort-based
