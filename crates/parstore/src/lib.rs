@@ -3,9 +3,9 @@
 //! A partitioned, multi-threaded, nested-relational store — the Spark
 //! stand-in. Datasets are row partitions (rows may hold nested arrays of
 //! objects); delegated subqueries run as parallel filter / broadcast hash
-//! join over the partitions; key indexes give the
-//! point-lookup path used by the materialized-join fragment of the paper's
-//! motivating scenario ("indexed by the user ID and product category").
+//! join over the partitions; key indexes give the point-lookup path used
+//! by the materialized-join fragment of the paper's motivating scenario
+//! ("indexed by the user ID and product category").
 //! Partition fan-out runs on the shared scoped-thread executor
 //! ([`estocada_parexec`]), which merges worker results in partition order —
 //! see [`ops`].
@@ -201,26 +201,13 @@ impl ParStore {
         let Some(ds) = self.dataset(name) else {
             return Ok(Vec::new());
         };
-        match &ds.key_index {
-            None => {
-                return Err(StoreError::internal(
-                    "parallel",
-                    "lookup",
-                    format!("dataset {name} has no key index"),
-                ))
-            }
-            Some(idx) if idx.columns.len() != key.len() => {
-                return Err(StoreError::internal(
-                    "parallel",
-                    "lookup",
-                    format!(
-                        "key of arity {} on dataset {name} indexed by {} column(s)",
-                        key.len(),
-                        idx.columns.len()
-                    ),
-                ))
-            }
-            Some(_) => {}
+        let indexed = ds.key_index.as_ref().map(|idx| idx.columns.len());
+        if indexed != Some(key.len()) {
+            let why = match indexed {
+                None => format!("dataset {name} has no key index"),
+                Some(n) => format!("key of arity {} on dataset {name} keyed by {n}", key.len()),
+            };
+            return Err(StoreError::internal("parallel", "lookup", why));
         }
         check_columns("lookup", name, &ds, preds.iter().map(|p| p.col))?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
