@@ -209,6 +209,16 @@ mod tests {
     }
 
     #[test]
+    fn repeated_terms_post_each_document_once() {
+        let s = store();
+        s.index_document("catalog", Value::Int(4), "USB hub, usb cable, USB");
+        assert_eq!(
+            s.term_lookup("catalog", "usb").unwrap(),
+            vec![Value::Int(1), Value::Int(2), Value::Int(4)]
+        );
+    }
+
+    #[test]
     fn term_lookup_normalizes_case() {
         let s = store();
         assert_eq!(s.term_lookup("catalog", "USB").unwrap().len(), 2);
