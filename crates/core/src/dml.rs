@@ -44,12 +44,22 @@
 //!
 //! DDL invalidates the maintenance state wholesale (supports were computed
 //! against the previous catalog); it is re-seeded lazily on the next write.
+//!
+//! # Cost
+//!
+//! Past the one-off seeding, a write's work is proportional to its delta,
+//! not to the size of the fragments it maintains: the delta chase
+//! enumerates only the homomorphisms through changed facts, the parallel
+//! store updates its partitions and key index in place, and each fragment
+//! relation's [`FragmentStats`] is read off running statistics (row count,
+//! byte sum, per-column value counts) that the store deltas update, never
+//! recomputed over the relation's rows.
 
 use crate::catalog::{FragmentSpec, FragmentStats, WhereSpec};
 use crate::dataset::DatasetContent;
 use crate::error::{Error, Result};
 use crate::evaluator::Estocada;
-use crate::materialize::{project_head, stats_of_rows};
+use crate::materialize::{project_head, text_index_stats};
 use estocada_chase::{find_homs, find_homs_delta, Elem, HomConfig, Instance};
 use estocada_pivot::{Cq, Symbol, Value};
 use std::collections::HashMap;
@@ -64,6 +74,9 @@ pub struct MaintenanceState {
     /// Counting (view) fragment relation → distinct head row → number of
     /// body homomorphisms deriving it.
     supports: HashMap<Symbol, HashMap<Vec<Value>, u64>>,
+    /// Counting and native-table fragment relation → statistics of its
+    /// current rows.
+    stats: HashMap<Symbol, RunningStats>,
     /// Fragment id → data epoch through which its stores are maintained.
     high_water: HashMap<String, u64>,
 }
@@ -79,6 +92,64 @@ impl MaintenanceState {
     /// `None` for native/raw relations.
     pub fn supported_rows(&self, relation: Symbol) -> Option<&HashMap<Vec<Value>, u64>> {
         self.supports.get(&relation)
+    }
+}
+
+/// Statistics of one fragment relation's rows, updated row by row.
+/// [`RunningStats::stats`] equals
+/// [`stats_of_rows`](crate::materialize::stats_of_rows) over the same rows.
+#[derive(Debug, Clone)]
+struct RunningStats {
+    rows: u64,
+    bytes: u64,
+    /// Per head column: value → number of rows holding it.
+    counts: Vec<HashMap<Value, u64>>,
+}
+
+impl RunningStats {
+    fn of_rows<'a>(rows: impl IntoIterator<Item = &'a Vec<Value>>, arity: usize) -> RunningStats {
+        let mut s = RunningStats {
+            rows: 0,
+            bytes: 0,
+            counts: vec![HashMap::new(); arity],
+        };
+        for row in rows {
+            s.add(row);
+        }
+        s
+    }
+
+    fn add(&mut self, row: &[Value]) {
+        self.rows += 1;
+        for (i, v) in row.iter().enumerate() {
+            if let Some(c) = self.counts.get_mut(i) {
+                *c.entry(v.clone()).or_insert(0) += 1;
+            }
+            self.bytes += v.approx_size() as u64;
+        }
+    }
+
+    /// Take back one [`RunningStats::add`]ed row.
+    fn remove(&mut self, row: &[Value]) {
+        self.rows -= 1;
+        for (i, v) in row.iter().enumerate() {
+            if let Some(c) = self.counts.get_mut(i) {
+                let n = c.get_mut(v).expect("a removed row was added");
+                *n -= 1;
+                if *n == 0 {
+                    c.remove(v);
+                }
+            }
+            self.bytes -= v.approx_size() as u64;
+        }
+    }
+
+    fn stats(&self) -> FragmentStats {
+        FragmentStats {
+            rows: self.rows,
+            distinct: self.counts.iter().map(|c| c.len() as u64).collect(),
+            bytes: self.bytes,
+        }
     }
 }
 
@@ -269,18 +340,31 @@ impl Estocada {
             }
         }
         let mut supports = HashMap::new();
+        let mut stats = HashMap::new();
         let mut high_water = HashMap::new();
         for fm in self.catalog.fragments() {
             high_water.insert(fm.id.clone(), self.data_epoch);
-            if is_counting(&fm.spec) {
-                for r in &fm.relations {
-                    supports.insert(r.name, row_supports(base, &r.view.view));
+            for r in &fm.relations {
+                let arity = r.view.view.head.len();
+                if is_counting(&fm.spec) {
+                    let sup = row_supports(base, &r.view.view);
+                    stats.insert(r.name, RunningStats::of_rows(sup.keys(), arity));
+                    supports.insert(r.name, sup);
+                } else if let (
+                    FragmentSpec::NativeTables { dataset, .. },
+                    WhereSpec::Table { table, .. },
+                ) = (&fm.spec, &r.place)
+                {
+                    if let Ok(t) = self.table_data(dataset, table) {
+                        stats.insert(r.name, RunningStats::of_rows(&t.rows, arity));
+                    }
                 }
             }
         }
         self.maint = Some(MaintenanceState {
             fact_counts,
             supports,
+            stats,
             high_water,
         });
     }
@@ -311,18 +395,23 @@ impl Estocada {
                     )));
                 }
             }
-            let mut avail: HashMap<&[Value], usize> = HashMap::new();
-            for row in &t.rows {
-                *avail.entry(row.as_slice()).or_insert(0) += 1;
-            }
-            for d in &deletes {
-                let n = avail.entry(d.as_slice()).or_insert(0);
-                if *n == 0 {
+            if !deletes.is_empty() {
+                // Each delete needs its own stored row: only table rows
+                // equal to a target count down its demand.
+                let mut need: HashMap<&[Value], usize> = HashMap::new();
+                for d in &deletes {
+                    *need.entry(d.as_slice()).or_insert(0) += 1;
+                }
+                for row in &t.rows {
+                    if let Some(n) = need.get_mut(row.as_slice()) {
+                        *n = n.saturating_sub(1);
+                    }
+                }
+                if let Some(d) = deletes.iter().find(|d| need[d.as_slice()] > 0) {
                     return Err(Error::Dml(format!(
                         "row to delete not found in {table}: {d:?}"
                     )));
                 }
-                *n -= 1;
             }
         }
 
@@ -461,6 +550,7 @@ impl Estocada {
         // -- roll hom deltas into the support counts; 0-crossings become
         // store operations ---------------------------------------------------
         let mut ops: HashMap<Symbol, StoreOps> = HashMap::new();
+        let table_rows = self.table_data(dataset, table)?.rows.len() as u64;
         let maint = self.maint.as_mut().expect("seeded above");
         for (rel, deltas) in &row_deltas {
             // Net per row first: a row deleted and re-derived in one batch
@@ -475,6 +565,7 @@ impl Estocada {
                 *e += d;
             }
             let sup = maint.supports.entry(*rel).or_default();
+            let stats = maint.stats.get_mut(rel).expect("seeded with the supports");
             let o = ops.entry(*rel).or_default();
             for row in order {
                 let d = net[row];
@@ -488,8 +579,10 @@ impl Estocada {
                 *c = after.max(0) as u64;
                 if before > 0 && after <= 0 {
                     sup.remove(row);
+                    stats.remove(row);
                     o.deletes.push(row.clone());
                 } else if before == 0 && after > 0 {
+                    stats.add(row);
                     o.inserts.push(row.clone());
                 }
             }
@@ -500,18 +593,6 @@ impl Estocada {
         // dataset-row deltas 1:1 (duplicate physical rows and all).
         let mut fragment_deltas: Vec<FragmentDelta> = Vec::new();
         let mut stats_updates: Vec<(String, usize, FragmentStats)> = Vec::new();
-        let post_rows: Vec<Vec<Value>> = {
-            let ds = self.datasets.get(dataset).expect("validated above");
-            let DatasetContent::Relational(tables) = &ds.content else {
-                unreachable!()
-            };
-            tables
-                .iter()
-                .find(|t| t.encoding.relation.as_str().as_ref() == table)
-                .expect("validated above")
-                .rows
-                .clone()
-        };
         for fm in self.catalog.fragments() {
             for (ri, r) in fm.relations.iter().enumerate() {
                 let mut applied: Option<(usize, usize, &'static str)> = None;
@@ -520,10 +601,14 @@ impl Estocada {
                     (_, WhereSpec::Table { table: tname, .. }) if is_counting(&fm.spec) => {
                         if let Some(o) = ops.get(&r.name) {
                             if !o.deletes.is_empty() || !o.inserts.is_empty() {
-                                self.stores.rel.delete_rows(tname, &o.deletes);
-                                self.stores
-                                    .rel
-                                    .insert_many(tname, o.inserts.iter().cloned());
+                                if !o.deletes.is_empty() {
+                                    self.stores.rel.delete_rows(tname, &o.deletes);
+                                }
+                                if !o.inserts.is_empty() {
+                                    self.stores
+                                        .rel
+                                        .insert_many(tname, o.inserts.iter().cloned());
+                                }
                                 applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
                             }
                         }
@@ -578,11 +663,15 @@ impl Estocada {
                                         columns.iter().cloned().zip(row.iter().cloned()),
                                     )
                                 };
-                                let dels: Vec<Value> = o.deletes.iter().map(to_doc).collect();
-                                self.stores.doc.remove_docs(collection, &dels);
-                                self.stores
-                                    .doc
-                                    .insert_many(collection, o.inserts.iter().map(to_doc));
+                                if !o.deletes.is_empty() {
+                                    let dels: Vec<Value> = o.deletes.iter().map(to_doc).collect();
+                                    self.stores.doc.remove_docs(collection, &dels);
+                                }
+                                if !o.inserts.is_empty() {
+                                    self.stores
+                                        .doc
+                                        .insert_many(collection, o.inserts.iter().map(to_doc));
+                                }
                                 applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
                             }
                         }
@@ -590,10 +679,14 @@ impl Estocada {
                     (_, WhereSpec::ParDataset { dataset: dname, .. }) => {
                         if let Some(o) = ops.get(&r.name) {
                             if !o.deletes.is_empty() || !o.inserts.is_empty() {
-                                self.stores.par.delete_rows(dname, &o.deletes);
-                                self.stores
-                                    .par
-                                    .insert_rows(dname, o.inserts.iter().cloned());
+                                if !o.deletes.is_empty() {
+                                    self.stores.par.delete_rows(dname, &o.deletes);
+                                }
+                                if !o.inserts.is_empty() {
+                                    self.stores
+                                        .par
+                                        .insert_rows(dname, o.inserts.iter().cloned());
+                                }
                                 applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
                             }
                         }
@@ -606,8 +699,15 @@ impl Estocada {
                         && tname == table
                         && (!deletes.is_empty() || !inserts.is_empty()) =>
                     {
-                        self.stores.rel.delete_rows(tname, &deletes);
-                        self.stores.rel.insert_many(tname, inserts.iter().cloned());
+                        let stats = maint.stats.get_mut(&r.name).expect("seeded per table");
+                        if !deletes.is_empty() {
+                            self.stores.rel.delete_rows(tname, &deletes);
+                            deletes.iter().for_each(|row| stats.remove(row));
+                        }
+                        if !inserts.is_empty() {
+                            self.stores.rel.insert_many(tname, inserts.iter().cloned());
+                            inserts.iter().for_each(|row| stats.add(row));
+                        }
                         applied = Some((deletes.len(), inserts.len(), "raw"));
                     }
                     (FragmentSpec::TextIndex { table: tt }, WhereSpec::TextIndex { index })
@@ -640,9 +740,11 @@ impl Estocada {
                         let keyed = |row: &Vec<Value>| {
                             key_col.map(|k| row[k].clone()).unwrap_or(Value::Null)
                         };
-                        let dels: Vec<(Value, String)> =
-                            deletes.iter().map(|r| (keyed(r), joined(r))).collect();
-                        self.stores.text.remove_documents(index, &dels);
+                        if !deletes.is_empty() {
+                            let dels: Vec<(Value, String)> =
+                                deletes.iter().map(|r| (keyed(r), joined(r))).collect();
+                            self.stores.text.remove_documents(index, &dels);
+                        }
                         for row in &inserts {
                             self.stores
                                 .text
@@ -653,27 +755,11 @@ impl Estocada {
                     _ => {}
                 }
                 if let Some((sd, si, mode)) = applied {
-                    // Refresh the relation's statistics the same way a
-                    // rematerialization would compute them.
-                    let arity = r.view.view.head.len();
-                    let stats = match (&fm.spec, &r.place) {
-                        (FragmentSpec::NativeTables { .. }, _) => stats_of_rows(&post_rows, arity),
-                        (FragmentSpec::TextIndex { .. }, _) => {
-                            let postings = post_rows.len() as u64;
-                            FragmentStats {
-                                rows: postings * 8,
-                                distinct: vec![postings * 4, postings],
-                                bytes: postings * 64,
-                            }
-                        }
-                        _ => {
-                            let rows: Vec<Vec<Value>> = maint
-                                .supports
-                                .get(&r.name)
-                                .map(|s| s.keys().cloned().collect())
-                                .unwrap_or_default();
-                            stats_of_rows(&rows, arity)
-                        }
+                    // Refresh the relation's statistics to what a
+                    // rematerialization would compute.
+                    let stats = match &fm.spec {
+                        FragmentSpec::TextIndex { .. } => text_index_stats(table_rows),
+                        _ => maint.stats[&r.name].stats(),
                     };
                     stats_updates.push((fm.id.clone(), ri, stats));
                     fragment_deltas.push(FragmentDelta {
@@ -816,8 +902,9 @@ mod tests {
         est
     }
 
-    /// Canonicalized dump of every store object: `(label, contents)` with
-    /// rows sorted, so physical insertion order is factored out.
+    /// Canonicalized dump of every store object, parallel key index and
+    /// fragment's catalog statistics: `(label, contents)` with rows sorted,
+    /// so physical insertion order is factored out.
     fn snapshot(est: &Estocada) -> Vec<(String, String)> {
         let mut out = Vec::new();
         let mut tables = est.stores.rel.table_names();
@@ -844,20 +931,33 @@ mod tests {
         let mut pds = est.stores.par.dataset_names();
         pds.sort();
         for d in pds {
-            let mut rows: Vec<_> = est
-                .stores
-                .par
-                .dataset(&d)
-                .unwrap()
-                .iter_rows()
-                .cloned()
-                .collect();
+            let ds = est.stores.par.dataset(&d).unwrap();
+            let mut rows: Vec<_> = ds.iter_rows().cloned().collect();
             rows.sort();
             out.push((format!("par:{d}"), format!("{rows:?}")));
+            if let Some(idx) = &ds.key_index {
+                let mut entries: Vec<String> = idx
+                    .map
+                    .iter()
+                    .map(|(key, locs)| {
+                        let mut hits: Vec<_> = locs
+                            .iter()
+                            .map(|&(p, r)| &ds.partitions[p as usize][r as usize])
+                            .collect();
+                        hits.sort();
+                        format!("{key:?} -> {hits:?}")
+                    })
+                    .collect();
+                entries.sort();
+                out.push((format!("par-index:{d}"), format!("{entries:?}")));
+            }
         }
         let mut docs = est.stores.text.documents("Products");
         docs.sort();
         out.push(("text:Products".into(), format!("{docs:?}")));
+        for f in est.catalog().fragments() {
+            out.push((format!("stats:{}", f.id), format!("{:?}", f.stats)));
+        }
         out
     }
 

@@ -73,6 +73,16 @@ pub fn stats_of_rows(rows: &[Vec<Value>], arity: usize) -> FragmentStats {
     }
 }
 
+/// Statistics of a text index over `rows` documents (a rough model: ~8
+/// indexed terms per document).
+pub(crate) fn text_index_stats(rows: u64) -> FragmentStats {
+    FragmentStats {
+        rows: rows * 8,
+        distinct: vec![rows * 4, rows],
+        bytes: rows * 64,
+    }
+}
+
 /// Head column names of a view (variable names, falling back to `c{i}`).
 pub fn head_columns(view: &Cq) -> Vec<String> {
     view.head
@@ -361,22 +371,16 @@ pub fn materialize(
                 .iter()
                 .filter_map(|c| t.encoding.columns.iter().position(|x| x == c))
                 .collect();
-            let mut postings = 0u64;
             for row in &t.rows {
                 let text: Vec<&str> = text_cols.iter().filter_map(|c| row[*c].as_str()).collect();
                 stores
                     .text
                     .index_document(table, row[key_col].clone(), &text.join(" "));
-                postings += 1;
             }
             let src = Dataset::terms_relation(table);
             let fname = Symbol::intern(&format!("{table}F_Text"));
             let view = identity_view(fname, src, 2);
-            stats.push(FragmentStats {
-                rows: postings * 8, // rough: ~8 indexed terms per row
-                distinct: vec![postings * 4, postings],
-                bytes: postings * 64,
-            });
+            stats.push(text_index_stats(t.rows.len() as u64));
             relations.push(FragmentRelation {
                 name: fname,
                 view: ViewDef::new(view),

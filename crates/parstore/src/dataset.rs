@@ -1,15 +1,42 @@
 //! Partitioned datasets of (possibly nested) rows.
 
 use estocada_pivot::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A key index over one or more columns: key values → (partition, row).
 #[derive(Debug, Clone)]
 pub struct KeyIndex {
     /// Indexed column positions.
     pub columns: Vec<usize>,
-    /// Key tuple → row locations.
+    /// Key tuple → row locations, sorted in partition order.
     pub map: HashMap<Vec<Value>, Vec<(u32, u32)>>,
+}
+
+impl KeyIndex {
+    /// The key tuple of `row`.
+    fn key_of(&self, row: &[Value]) -> Vec<Value> {
+        self.columns.iter().map(|c| row[*c].clone()).collect()
+    }
+
+    /// Record `loc` under `row`'s key, keeping the location list sorted.
+    fn add(&mut self, row: &[Value], loc: (u32, u32)) {
+        let locs = self.map.entry(self.key_of(row)).or_default();
+        let at = locs.binary_search(&loc).unwrap_or_else(|at| at);
+        locs.insert(at, loc);
+    }
+
+    /// Drop `loc` from `row`'s key, and the key once it has no location.
+    fn remove(&mut self, row: &[Value], loc: (u32, u32)) {
+        let key = self.key_of(row);
+        let locs = self.map.get_mut(&key).expect("indexed row has a key entry");
+        let at = locs
+            .binary_search(&loc)
+            .expect("indexed row has its location");
+        locs.remove(at);
+        if locs.is_empty() {
+            self.map.remove(&key);
+        }
+    }
 }
 
 /// A partitioned dataset. Rows may contain nested values (arrays of
@@ -73,39 +100,82 @@ impl Dataset {
     }
 
     /// Append rows round-robin across the existing partitions (continuing
-    /// from the current total, so growth stays balanced). The key index is
-    /// rebuilt when one exists.
+    /// from the current total, so growth stays balanced). Each appended
+    /// row's location joins the key index in place, when one exists.
     pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
         let n = self.partitions.len().max(1);
         for (next, row) in (self.len()..).zip(rows) {
             assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-            self.partitions[next % n].push(row);
-        }
-        if let Some(cols) = self.key_index.as_ref().map(|i| i.columns.clone()) {
-            self.build_key_index(cols);
+            let p = next % n;
+            if let Some(idx) = &mut self.key_index {
+                idx.add(&row, (p as u32, self.partitions[p].len() as u32));
+            }
+            self.partitions[p].push(row);
         }
     }
 
     /// Remove the first stored row equal to each entry of `rows` (one
-    /// instance per request, searched in partition order). Returns how
-    /// many rows were removed; the key index is rebuilt when one exists.
+    /// instance per request, first in partition order). Returns how many
+    /// rows were removed. A removed row's slot is filled by its
+    /// partition's last row (`swap_remove`), so partition order is not
+    /// kept. With a key index the rows are found through it, one pass over
+    /// each target key's locations, and the index is updated in place;
+    /// without one the partitions are searched until every row is found.
     pub fn remove_rows(&mut self, rows: &[Vec<Value>]) -> usize {
-        let mut removed = 0;
+        let mut want: HashMap<&[Value], usize> = HashMap::new();
         for row in rows {
-            'search: for part in &mut self.partitions {
-                if let Some(pos) = part.iter().position(|r| r == row) {
-                    part.remove(pos);
-                    removed += 1;
-                    break 'search;
+            *want.entry(row).or_insert(0) += 1;
+        }
+        let mut doomed: Vec<(usize, usize)> = Vec::new();
+        let mut take = |loc: (usize, usize), row: &[Value]| {
+            if let Some(n) = want.get_mut(row).filter(|n| **n > 0) {
+                *n -= 1;
+                doomed.push(loc);
+            }
+            doomed.len() == rows.len()
+        };
+        match &self.key_index {
+            Some(idx) => {
+                let keys: HashSet<Vec<Value>> = rows.iter().map(|r| idx.key_of(r)).collect();
+                for locs in keys.iter().filter_map(|k| idx.map.get(k)) {
+                    for &(p, r) in locs {
+                        let (p, r) = (p as usize, r as usize);
+                        take((p, r), &self.partitions[p][r]);
+                    }
+                }
+            }
+            None => {
+                'scan: for (p, part) in self.partitions.iter().enumerate() {
+                    for (r, row) in part.iter().enumerate() {
+                        if take((p, r), row) {
+                            break 'scan;
+                        }
+                    }
                 }
             }
         }
-        if removed > 0 {
-            if let Some(cols) = self.key_index.as_ref().map(|i| i.columns.clone()) {
-                self.build_key_index(cols);
+        // Back to front: every row a removal moves into a freed slot comes
+        // from past all doomed slots still to go, so no location goes stale.
+        doomed.sort_unstable_by(|a, b| b.cmp(a));
+        for &(p, r) in &doomed {
+            self.swap_remove_at(p, r);
+        }
+        doomed.len()
+    }
+
+    /// Remove the row at `(p, r)`, moving partition `p`'s last row into
+    /// its slot and re-pointing that row's index entry.
+    fn swap_remove_at(&mut self, p: usize, r: usize) {
+        let last = self.partitions[p].len() - 1;
+        let gone = self.partitions[p].swap_remove(r);
+        if let Some(idx) = &mut self.key_index {
+            idx.remove(&gone, (p as u32, r as u32));
+            if r != last {
+                let moved = &self.partitions[p][r];
+                idx.remove(moved, (p as u32, last as u32));
+                idx.add(moved, (p as u32, r as u32));
             }
         }
-        removed
     }
 
     /// Rows matching `key` through the key index (panics if the index does
@@ -133,6 +203,8 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn rows(n: i64) -> Vec<Vec<Value>> {
         (0..n)
@@ -180,6 +252,85 @@ mod tests {
         ]);
         assert_eq!(removed, 1);
         assert_eq!(d.index_lookup(&[Value::Int(2)]).len(), 3);
+    }
+
+    /// The index as sorted `key → locations` lines, for comparison.
+    fn render(idx: &KeyIndex) -> Vec<String> {
+        let mut lines: Vec<String> = idx
+            .map
+            .iter()
+            .map(|(k, locs)| format!("{k:?} -> {locs:?}"))
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    fn int_rows(raw: &[(i64, i64)]) -> Vec<Vec<Value>> {
+        raw.iter()
+            .map(|(a, b)| vec![Value::Int(*a), Value::Int(*b)])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Appends and removals maintain the key index in place: after
+        /// every step it equals an index rebuilt from scratch over the
+        /// same partitions, and the rows (indexed or not) equal a multiset
+        /// model. The tiny value domain forces duplicate rows, absent rows
+        /// and removals of a partition's last row (op 2 removes exactly
+        /// that).
+        #[test]
+        fn in_place_index_matches_a_rebuild(
+            parts in 1..4usize,
+            keyed in 0..3u8,
+            seed in collection::vec((0..4i64, 0..3i64), 0..10),
+            steps in collection::vec(
+                (0..3u8, collection::vec((0..4i64, 0..3i64), 0..4), 0..4usize),
+                1..24,
+            ),
+        ) {
+            let cols = [None, Some(vec![1]), Some(vec![0, 1])][keyed as usize].clone();
+            let mut model = int_rows(&seed);
+            let mut d = Dataset::from_rows(&["id", "grp"], model.clone(), parts);
+            if let Some(cols) = &cols {
+                d.build_key_index(cols.clone());
+            }
+            for (op, raw, part) in steps {
+                let batch = match op {
+                    0 => {
+                        let rows = int_rows(&raw);
+                        model.extend(rows.iter().cloned());
+                        d.append_rows(rows);
+                        Vec::new()
+                    }
+                    1 => int_rows(&raw),
+                    _ => d.partitions[part % parts].last().cloned().into_iter().collect(),
+                };
+                let mut expected = 0;
+                for row in &batch {
+                    if let Some(i) = model.iter().position(|m| m == row) {
+                        model.swap_remove(i);
+                        expected += 1;
+                    }
+                }
+                prop_assert_eq!(d.remove_rows(&batch), expected);
+                prop_assert_eq!(d.len(), model.len());
+                let mut rows: Vec<_> = d.iter_rows().cloned().collect();
+                rows.sort();
+                let mut want = model.clone();
+                want.sort();
+                prop_assert_eq!(rows, want);
+                if let Some(cols) = &cols {
+                    let mut rebuilt = d.clone();
+                    rebuilt.build_key_index(cols.clone());
+                    prop_assert_eq!(
+                        render(d.key_index.as_ref().unwrap()),
+                        render(rebuilt.key_index.as_ref().unwrap())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -130,32 +130,30 @@ impl ParStore {
         self.datasets.read().get(name).cloned()
     }
 
-    /// Append rows to a dataset (round-robin across its partitions; the
-    /// key index is rebuilt when one exists). Clone-modify-swap like
-    /// [`ParStore::build_key_index`] so in-flight readers keep their
-    /// snapshot. Admin path: no metrics, latency, or fault hook.
+    /// Append rows to a dataset (round-robin across its partitions; each
+    /// row's location joins the key index in place). Copy-on-write: the
+    /// dataset is mutated in place through [`Arc::make_mut`], which copies
+    /// it first only while a reader still holds the current snapshot, so
+    /// in-flight readers keep theirs. Admin path: no metrics, latency, or
+    /// fault hook.
     pub fn insert_rows(&self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
         let mut guard = self.datasets.write();
         let ds = guard
-            .get(name)
+            .get_mut(name)
             .unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let mut new = (**ds).clone();
-        new.append_rows(rows);
-        guard.insert(name.to_string(), Arc::new(new));
+        Arc::make_mut(ds).append_rows(rows);
     }
 
     /// Delete rows from a dataset: each entry removes **one** matching
-    /// stored row. Returns how many were removed. Same clone-modify-swap
-    /// and admin-path semantics as [`ParStore::insert_rows`].
+    /// stored row, found through the key index when one exists. Returns
+    /// how many were removed. Same copy-on-write and admin-path semantics
+    /// as [`ParStore::insert_rows`].
     pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> usize {
         let mut guard = self.datasets.write();
         let ds = guard
-            .get(name)
+            .get_mut(name)
             .unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let mut new = (**ds).clone();
-        let removed = new.remove_rows(rows);
-        guard.insert(name.to_string(), Arc::new(new));
-        removed
+        Arc::make_mut(ds).remove_rows(rows)
     }
 
     /// Parallel scan with predicates and optional projection. Consults the

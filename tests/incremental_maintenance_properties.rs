@@ -54,9 +54,10 @@ fn remat_twin(est: &Estocada, deploy: Deploy) -> Estocada {
     deploy(&m, Latencies::zero())
 }
 
-/// Canonical rendering of every store's full content. Rows are sorted per
-/// container (stores don't promise physical order across maintenance
-/// histories) but the rendered bytes must match exactly.
+/// Canonical rendering of every store's full content, each parallel key
+/// index (key → its rows) and each fragment's catalog statistics. Rows are
+/// sorted per container (stores don't promise physical order across
+/// maintenance histories) but the rendered bytes must match exactly.
 fn snapshot(est: &Estocada) -> Vec<(String, String)> {
     let s = &est.stores;
     let mut out = Vec::new();
@@ -76,13 +77,39 @@ fn snapshot(est: &Estocada) -> Vec<(String, String)> {
         out.push((format!("doc:{c}"), format!("{docs:?}")));
     }
     for d in s.par.dataset_names() {
-        let mut rows: Vec<_> = s.par.dataset(&d).unwrap().iter_rows().cloned().collect();
+        let ds = s.par.dataset(&d).unwrap();
+        let mut rows: Vec<_> = ds.iter_rows().cloned().collect();
         rows.sort();
         out.push((format!("par:{d}"), format!("{rows:?}")));
+        if let Some(idx) = &ds.key_index {
+            let mut entries: Vec<String> = idx
+                .map
+                .iter()
+                .map(|(key, locs)| {
+                    let mut hits: Vec<_> = locs
+                        .iter()
+                        .map(|&(p, r)| &ds.partitions[p as usize][r as usize])
+                        .collect();
+                    hits.sort();
+                    format!("{key:?} -> {hits:?}")
+                })
+                .collect();
+            entries.sort();
+            out.push((format!("par-index:{d}"), format!("{entries:?}")));
+        }
     }
     let mut docs = s.text.documents("Products");
     docs.sort();
     out.push(("text:Products".into(), format!("{docs:?}")));
+    // The cost model plans from these: writes must leave them as a fresh
+    // materialization computes them.
+    for f in est.catalog().fragments() {
+        let names: Vec<_> = f.relations.iter().map(|r| r.name).collect();
+        out.push((
+            format!("stats:{}", f.id),
+            format!("{:?}", names.iter().zip(&f.stats).collect::<Vec<_>>()),
+        ));
+    }
     out.sort();
     out
 }
